@@ -21,7 +21,7 @@ from .cubesets import (
     cube_from_json,
 )
 from .errors import DomainError, InputFormatError
-from .forcing import expr_simplify, factorize, iteration_form, render_expr
+from .forcing import factorize, iteration_form, render_expr
 from .layered import (
     FinCof,
     layered_from_json,
@@ -136,8 +136,13 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputFormatError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _load_json(path: str):
@@ -260,7 +265,7 @@ def _run_poset(args) -> str:
 
 def _run_factorize(args) -> str:
     alpha = parse_ordinal(args.alpha)
-    expr = iteration_form(alpha) if args.iterate else expr_simplify(factorize(alpha))
+    expr = iteration_form(alpha) if args.iterate else factorize(alpha)
     return render_expr(expr, args.format) + "\n"
 
 
@@ -296,8 +301,6 @@ def run(argv) -> CommandResult:
             return _run_verify(args)
         raise AssertionError(args.command)
     except InputFormatError as exc:
-        return CommandResult(2, "", f"error: {exc}\n")
-    except FileNotFoundError as exc:
         return CommandResult(2, "", f"error: {exc}\n")
     except DomainError as exc:
         return CommandResult(1, "", f"error: {exc}\n")

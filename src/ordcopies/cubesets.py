@@ -12,6 +12,11 @@ finite ideal, canonical enumeration, and copy detection.  Construction
 canonicalizes (minimal cycle, shortest prefix), so structural equality is
 semantic equality and hashing is consistent.
 
+The (prefix, cycle) stream helpers below (``_canonical``, ``_column`` and
+``_zip``) are the one implementation of that stream algebra.  The layered
+sets of :mod:`ordcopies.layered` reuse them for their column streams, so
+layered Boolean results are canonical in the same sense.
+
 JSON schema: ``{"dim": n, "prefix": [child...], "cycle": [child...]}`` with
 dimension-0 children serialized as ``0``/``1``.  Points are arrays of
 naturals, most significant coordinate first.
@@ -19,6 +24,7 @@ naturals, most significant coordinate first.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence, Tuple
@@ -41,6 +47,40 @@ from .ordinals import (
 )
 
 Point = Tuple[int, ...]
+
+
+# -- eventually periodic streams: a finite prefix, then a cycle forever --------
+
+
+def _canonical(prefix, cycle):
+    """Minimal cycle, then shortest prefix, of the same stream."""
+    n = len(cycle)
+    for period in range(1, n):
+        if n % period == 0 and cycle[period:] == cycle[:-period]:
+            cycle = cycle[:period]
+            break
+    prefix = list(prefix)
+    while prefix and prefix[-1] == cycle[-1]:
+        prefix.pop()
+        cycle = cycle[-1:] + cycle[:-1]
+    return tuple(prefix), cycle
+
+
+def _column(prefix, cycle, i):
+    if i < len(prefix):
+        return prefix[i]
+    return cycle[(i - len(prefix)) % len(cycle)]
+
+
+def _zip(prefix_a, cycle_a, prefix_b, cycle_b, op):
+    """``op`` applied column by column to two streams: the (prefix, cycle)
+    of the result, aligned to the lcm of the two periods."""
+    explicit = max(len(prefix_a), len(prefix_b))
+    cols = tuple(
+        op(_column(prefix_a, cycle_a, i), _column(prefix_b, cycle_b, i))
+        for i in range(explicit + lcm(len(cycle_a), len(cycle_b)))
+    )
+    return cols[:explicit], cols[explicit:]
 
 
 class CubeSet:
@@ -80,25 +120,12 @@ class CubeSet:
         dim = child_dim + 1
         if dim > config.dim_cap():
             raise CapError(f"dimension {dim} exceeds the cap {config.dim_cap()}")
-        # Minimal period: the shortest divisor-length pattern generating the cycle.
-        n = len(cycle)
-        for period in range(1, n + 1):
-            if n % period == 0 and all(cycle[i] == cycle[i % period] for i in range(n)):
-                cycle = cycle[:period]
-                break
-        # Shortest prefix: fold trailing columns that already match the cycle.
-        prefix = list(prefix)
-        while prefix and prefix[-1] == cycle[-1]:
-            prefix.pop()
-            cycle = (cycle[-1],) + cycle[:-1]
-        return cls._raw(dim, None, tuple(prefix), cycle)
+        return cls._raw(dim, None, *_canonical(prefix, cycle))
 
     def column(self, i: int) -> "CubeSet":
         if self.dim == 0:
             raise DimensionError("a dimension-0 set has no columns")
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
+        return _column(self.prefix, self.cycle, i)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CubeSet):
@@ -185,33 +212,25 @@ def _same_dim(a: CubeSet, b: CubeSet) -> None:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _zip_cols(a: CubeSet, b: CubeSet, op) -> CubeSet:
-    explicit = max(len(a.prefix), len(b.prefix))
-    period = lcm(len(a.cycle), len(b.cycle))
-    prefix = (op(a.column(i), b.column(i)) for i in range(explicit))
-    cycle = (op(a.column(explicit + j), b.column(explicit + j)) for j in range(period))
-    return CubeSet.node(prefix, cycle)
+def _lift(bit_op):
+    """The cube-set operation that applies ``bit_op`` point by point."""
+
+    def op(a: CubeSet, b: CubeSet) -> CubeSet:
+        _same_dim(a, b)
+        if a.dim == 0:
+            return CubeSet.leaf(bit_op(a.bit, b.bit))
+        return CubeSet.node(*_zip(a.prefix, a.cycle, b.prefix, b.cycle, op))
+
+    return op
 
 
-def cs_union(a: CubeSet, b: CubeSet) -> CubeSet:
-    _same_dim(a, b)
-    if a.dim == 0:
-        return CubeSet.leaf(a.bit or b.bit)
-    return _zip_cols(a, b, cs_union)
+def _and_not(x: bool, y: bool) -> bool:
+    return x and not y
 
 
-def cs_inter(a: CubeSet, b: CubeSet) -> CubeSet:
-    _same_dim(a, b)
-    if a.dim == 0:
-        return CubeSet.leaf(a.bit and b.bit)
-    return _zip_cols(a, b, cs_inter)
-
-
-def cs_diff(a: CubeSet, b: CubeSet) -> CubeSet:
-    _same_dim(a, b)
-    if a.dim == 0:
-        return CubeSet.leaf(a.bit and not b.bit)
-    return _zip_cols(a, b, cs_diff)
+cs_union = _lift(operator.or_)
+cs_inter = _lift(operator.and_)
+cs_diff = _lift(_and_not)
 
 
 def cs_complement(a: CubeSet) -> CubeSet:
@@ -249,9 +268,7 @@ def cs_order_type(a: CubeSet) -> Ordinal:
     total = ZERO
     for col in a.prefix:
         total = ord_add(total, cs_order_type(col))
-    block = ZERO
-    for col in a.cycle:
-        block = ord_add(block, cs_order_type(col))
+    block = _block_type(a)
     if block.is_zero():
         return total
     limit = omega_power(ord_add(block.leading_exponent(), ONE))

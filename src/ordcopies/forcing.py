@@ -274,6 +274,13 @@ def expr_to_json(e: ForcingExpr):
     raise SchemaError(f"not a forcing expression: {type(e).__name__}")
 
 
+def _integer(obj, key: str) -> int:
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def expr_from_json(obj) -> ForcingExpr:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("expected an expression object with a kind")
@@ -282,11 +289,11 @@ def expr_from_json(obj) -> ForcingExpr:
         if kind == "quotient":
             return QuotientAlgebra(parse_ordinal(obj["gamma"]))
         if kind == "rp":
-            return ReducedPowerIter(expr_from_json(obj["inner"]), obj["depth"])
+            return ReducedPowerIter(expr_from_json(obj["inner"]), _integer(obj, "depth"))
         if kind == "positive":
             return PositivePart(expr_from_json(obj["inner"]))
         if kind == "power":
-            return Power(expr_from_json(obj["inner"]), obj["exponent"])
+            return Power(expr_from_json(obj["inner"]), _integer(obj, "exponent"))
         if kind == "product":
             return Product(tuple(expr_from_json(f) for f in obj["factors"]))
         if kind == "iteration":

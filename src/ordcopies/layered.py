@@ -8,6 +8,12 @@ can be uniformly empty or full beyond its prefix ("empty"/"full") or follow
 a periodic empty/full pattern (needed to close the fusion operation under
 periodic index sets).
 
+Layered sets are canonical: construction and every Boolean operation turn
+an empty or full cube column into the matching flag (printed as
+"empty"/"full") and then take the minimal tail and the shortest prefix with
+the stream helpers of :mod:`ordcopies.cubesets`.  Equal sets are therefore
+equal values with equal hashes and the same JSON.
+
 Level sets S^m (columns whose order type reaches w^(m+1)) and supports are
 exact.  They are finite or cofinite whenever the tail is uniform and are
 returned as :class:`FinCof`; for properly periodic tails the exact answer is
@@ -21,8 +27,8 @@ a cyclic tail may be given as a list of those strings.  FinCof values are
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterable, List, Optional, Sequence, Union
 
 from . import config
@@ -36,6 +42,11 @@ from .errors import (
 )
 from .cubesets import (
     CubeSet,
+    _and_not,
+    _canonical,
+    _column,
+    _lift,
+    _zip,
     cs_complement,
     cs_diff,
     cs_fubini_positive,
@@ -43,7 +54,6 @@ from .cubesets import (
     cs_is_empty,
     cs_is_full,
     cs_order_type,
-    cs_union,
     cube_from_json,
     cube_to_json,
 )
@@ -208,20 +218,15 @@ class LayeredSet:
                 raise SchemaError("tail must be empty/full or a pattern of them")
         cols: List[Column] = []
         for n, col in enumerate(prefix):
-            flag = _as_flag(col)
-            if flag is not None:
-                cols.append(flag)
-                continue
-            if not isinstance(col, CubeSet):
-                raise SchemaError(f"column {n} is not a cube set or empty/full")
-            if col.dim != n + 1:
-                raise DimensionError(f"column {n} must have dimension {n + 1}, got {col.dim}")
-            if cs_is_empty(col):
-                cols.append(False)
-            elif cs_is_full(col):
-                cols.append(True)
+            if isinstance(col, CubeSet):
+                if col.dim != n + 1:
+                    raise DimensionError(f"column {n} must have dimension {n + 1}, got {col.dim}")
+                col = _as_column(col)
             else:
-                cols.append(col)
+                col = _as_flag(col)
+                if col is None:
+                    raise SchemaError(f"column {n} is not a cube set or empty/full")
+            cols.append(col)
         if len(cols) > config.prefix_cap():
             raise CapError(f"prefix length {len(cols)} exceeds the cap {config.prefix_cap()}")
         return cls._raw(*_canonical(cols, tail))
@@ -235,9 +240,7 @@ class LayeredSet:
         return cls.make((), "full")
 
     def column(self, n: int) -> Column:
-        if n < len(self.prefix):
-            return self.prefix[n]
-        return self.tail[(n - len(self.prefix)) % len(self.tail)]
+        return _column(self.prefix, self.tail, n)
 
     def column_type(self, n: int) -> Ordinal:
         col = self.column(n)
@@ -268,74 +271,50 @@ class LayeredSet:
 # -- column algebra (never materializes a flag as a cube set) ------------------
 
 
-def _col_union(a: Column, b: Column) -> Column:
-    if a is True or b is True:
+def _as_column(col: CubeSet) -> Column:
+    """The empty and full cube sets become the flags False and True."""
+    if cs_is_empty(col):
+        return False
+    if cs_is_full(col):
         return True
-    if a is False:
-        return b
-    if b is False:
-        return a
-    return cs_union(a, b)
+    return col
 
 
-def _col_inter(a: Column, b: Column) -> Column:
-    if a is False or b is False:
-        return False
-    if a is True:
-        return b
-    if b is True:
-        return a
-    return cs_inter(a, b)
+def _against_flag(if_out: bool, if_in: bool, col: CubeSet) -> Column:
+    """The column that is ``if_in`` on the points of ``col``, ``if_out`` off them."""
+    if if_in == if_out:
+        return if_in
+    return col if if_in else cs_complement(col)
 
 
-def _col_diff(a: Column, b: Column) -> Column:
-    if a is False or b is True:
-        return False
-    if b is False:
-        return a
-    if a is True:
-        return cs_complement(b)
-    return cs_diff(a, b)
+def _combine(a: LayeredSet, b: LayeredSet, bit_op) -> LayeredSet:
+    """``bit_op`` applied point by point.  A flag column is a constant set,
+    so against it the result is a constant, the other column or its
+    complement."""
+    cube_op = _lift(bit_op)
 
+    def col_op(x: Column, y: Column) -> Column:
+        if isinstance(x, bool):
+            if isinstance(y, bool):
+                return bit_op(x, y)
+            return _against_flag(bit_op(x, False), bit_op(x, True), y)
+        if isinstance(y, bool):
+            return _against_flag(bit_op(False, y), bit_op(True, y), x)
+        return _as_column(cube_op(x, y))
 
-def _combine(a: LayeredSet, b: LayeredSet, col_op, bit_op) -> LayeredSet:
-    ka, kb = len(a.prefix), len(b.prefix)
-    explicit = max(ka, kb)
-    period = lcm(len(a.tail), len(b.tail))
-    prefix = [col_op(a.column(n), b.column(n)) for n in range(explicit)]
-    tail = tuple(
-        bit_op(
-            a.tail[(explicit - ka + i) % len(a.tail)],
-            b.tail[(explicit - kb + i) % len(b.tail)],
-        )
-        for i in range(period)
-    )
-    return LayeredSet._raw(*_canonical(prefix, tail))
-
-
-def _canonical(prefix, tail):
-    n = len(tail)
-    for period in range(1, n + 1):
-        if n % period == 0 and all(tail[i] == tail[i % period] for i in range(n)):
-            tail = tail[:period]
-            break
-    prefix = list(prefix)
-    while prefix and isinstance(prefix[-1], bool) and prefix[-1] == tail[-1]:
-        prefix.pop()
-        tail = (tail[-1],) + tail[:-1]
-    return tuple(prefix), tail
+    return LayeredSet._raw(*_canonical(*_zip(a.prefix, a.tail, b.prefix, b.tail, col_op)))
 
 
 def ls_union(a: LayeredSet, b: LayeredSet) -> LayeredSet:
-    return _combine(a, b, _col_union, lambda x, y: x or y)
+    return _combine(a, b, operator.or_)
 
 
 def ls_inter(a: LayeredSet, b: LayeredSet) -> LayeredSet:
-    return _combine(a, b, _col_inter, lambda x, y: x and y)
+    return _combine(a, b, operator.and_)
 
 
 def ls_diff(a: LayeredSet, b: LayeredSet) -> LayeredSet:
-    return _combine(a, b, _col_diff, lambda x, y: x and not y)
+    return _combine(a, b, _and_not)
 
 
 # -- level sets, support, ideal membership -------------------------------------
@@ -345,19 +324,16 @@ def s_set_natset(a: LayeredSet, m: int) -> CubeSet:
     """Exact S^m as a dimension-1 cube set: columns of type >= w^(m+1)."""
     if m < 0:
         raise RangeError("the level must be a natural number")
-    k = len(a.prefix)
-    explicit = max(k, m)
+    explicit = max(len(a.prefix), m)
     threshold = omega_power(m + 1)
     bits = []
-    for n in range(explicit):
+    for n in range(explicit + len(a.tail)):
         col = a.column(n)
         if isinstance(col, bool):
             bits.append(col and n >= m)
         else:
             bits.append(ord_cmp(cs_order_type(col), threshold) != LT)
-    period = len(a.tail)
-    cycle = [a.tail[(explicit - k + i) % period] for i in range(period)]
-    return natset(bits, cycle)
+    return natset(bits[:explicit], bits[explicit:])
 
 
 def supp_natset(a: LayeredSet) -> CubeSet:
@@ -387,11 +363,7 @@ def ls_in_ideal(a: LayeredSet) -> bool:
     Equivalent to some S^m being empty; beyond the prefix the tail is
     periodic, so levels up to the prefix length + 1 decide it.
     """
-    for m in range(len(a.prefix) + 2):
-        s = s_set_natset(a, m)
-        if not any(c.bit for c in s.prefix) and not any(c.bit for c in s.cycle):
-            return True
-    return False
+    return any(cs_is_empty(s_set_natset(a, m)) for m in range(len(a.prefix) + 2))
 
 
 def ls_subset_ideal(a: LayeredSet, b: LayeredSet) -> bool:
@@ -459,20 +431,10 @@ def ls_fusion(a_list: Sequence[LayeredSet], s: Union[FinCof, CubeSet]) -> Layere
                     n=n,
                 )
             surviving = cs_inter(surviving, s_m)
-    last = a_list[r]
-    k = len(last.prefix)
-    ks = len(surviving.prefix)
-    explicit = max(k, ks)
-    period = lcm(len(last.tail), len(surviving.cycle))
-    prefix = [
-        last.column(n) if surviving.column(n).bit else False for n in range(explicit)
-    ]
-    tail = tuple(
-        last.tail[(explicit - k + i) % len(last.tail)]
-        and bool(surviving.column(explicit + i).bit)
-        for i in range(period)
+    as_flags = LayeredSet._raw(
+        tuple(c.bit for c in surviving.prefix), tuple(c.bit for c in surviving.cycle)
     )
-    return LayeredSet._raw(*_canonical(prefix, tail))
+    return ls_inter(a_list[r], as_flags)
 
 
 # -- JSON -----------------------------------------------------------------------

@@ -82,7 +82,23 @@ class TestSetCommands:
         assert run(["set", "type", "--file", path]).exit_code == 2
 
     def test_missing_file_exits_2(self):
-        assert run(["set", "type", "--file", "/nonexistent.json"]).exit_code == 2
+        result = run(["set", "type", "--file", "/nonexistent.json"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: [Errno 2] No such file or directory: '/nonexistent.json'\n"
+
+    def test_directory_exits_2(self, tmp_path):
+        result = run(["set", "type", "--file", str(tmp_path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_non_utf8_file_exits_2(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff\xfe2\n")
+        for command in (["set", "type"], ["poset", "sq"]):
+            result = run(command + ["--file", str(path)])
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr.startswith(f"error: {path}: ")
+            assert result.stderr.count("\n") == 1
 
 
 class TestLayerCommands:
@@ -123,6 +139,11 @@ class TestLayerCommands:
 
 
 class TestPosetCommands:
+    def test_sm_of_chain(self, tmp_path):
+        path = write(tmp_path, "chain.txt", poset_to_text(chain(3)))
+        result = run(["poset", "sm", "--file", path])
+        assert (result.exit_code, result.stdout) == (0, "3\n111\n111\n111\n")
+
     def test_sq_of_chain(self, tmp_path):
         path = write(tmp_path, "chain.txt", poset_to_text(chain(3)))
         result = run(["poset", "sq", "--file", path])

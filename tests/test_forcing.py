@@ -97,6 +97,14 @@ class TestSimplify:
         high = PositivePart(ReducedPowerIter(QuotientAlgebra(ONE), 2))
         assert expr_simplify(Product((low, high))) == Product((high, low))
 
+    def test_noop_on_factorizations(self):
+        # factorize already returns simplified expressions, so the CLI
+        # renders them without another pass.
+        rng = random.Random(13)
+        for _ in range(500):
+            expr = factorize(random_alpha_below_w_w2(rng))
+            assert expr_simplify(expr) == expr
+
     def test_invalid_nodes_rejected(self):
         with pytest.raises(DomainError):
             QuotientAlgebra(o("w+1"))
@@ -154,6 +162,17 @@ class TestRendering:
         for _ in range(50):
             expr = factorize(random_alpha_below_w_w2(rng))
             assert expr_from_json(expr_to_json(expr)) == expr
+
+    @pytest.mark.parametrize("bad", [2.5, "2", True, None])
+    def test_json_rejects_non_integer_counts(self, bad):
+        from ordcopies.errors import SchemaError
+
+        for doc in (
+            {"kind": "power", "exponent": bad, "inner": expr_to_json(BASE)},
+            {"kind": "rp", "depth": bad, "inner": expr_to_json(BASE)},
+        ):
+            with pytest.raises(SchemaError):
+                expr_from_json(doc)
 
     def test_unknown_format(self):
         from ordcopies.errors import SchemaError

@@ -10,17 +10,21 @@ from ordcopies import (
     FinCof,
     FusionPreconditionError,
     IdealError,
+    LT,
     LayeredSet,
     OMEGA_OMEGA,
     SchemaError,
     cs_empty,
     cs_full,
+    cs_inter,
     cs_is_empty,
+    cs_member,
     layered_from_json,
     layered_to_json,
     ls_diff,
     ls_fusion,
     ls_in_ideal,
+    ls_inter,
     ls_is_reduction,
     ls_order_type,
     ls_s_set,
@@ -29,6 +33,8 @@ from ordcopies import (
     ls_union,
     natset,
     natset_to_fincof,
+    omega_power,
+    ord_cmp,
     parse_ordinal,
 )
 from ordcopies.layered import s_set_natset
@@ -112,6 +118,62 @@ class TestRepresentation:
 
         with pytest.raises(CapError):
             LayeredSet.make(["empty"] * 30 + ["full"], "empty")
+
+
+class TestCanonicalBooleanResults:
+    """Boolean results normalize empty/full cube columns like make does."""
+
+    COLUMN = natset([1, 0], (1, 0, 0))
+
+    def test_difference_with_itself_is_empty(self):
+        a = LayeredSet.make([self.COLUMN])
+        assert ls_diff(a, a) == EMPTY
+        assert hash(ls_diff(a, a)) == hash(EMPTY)
+        assert ls_inter(a, LayeredSet.make([~self.COLUMN])) == EMPTY
+
+    def test_union_with_complement_is_full_column(self):
+        union = ls_union(LayeredSet.make([self.COLUMN]), LayeredSet.make([~self.COLUMN]))
+        full_column = LayeredSet.make(["full"], "empty")
+        assert union == full_column
+        assert hash(union) == hash(full_column)
+        assert layered_to_json(union) == {"prefix": ["full"], "tail": "empty"}
+
+
+class TestUnalignedPeriods:
+    """Level sets and fusion on tails whose period does not divide the
+    index set's cycle, checked column by column against the definitions."""
+
+    COLUMNS = 60
+
+    @staticmethod
+    def in_level(a, m, n):
+        return ord_cmp(a.column_type(n), omega_power(m + 1)) != LT
+
+    def test_level_sets_against_coprime_index(self):
+        # Tail period 3 against an index cycle of period 2 (lcm 6), with
+        # levels past the prefix so the tail is read from a shifted phase.
+        a = LayeredSet.make([natset([1], (0, 1)), "full"], (True, True, False))
+        for m in range(6):
+            s_m = s_set_natset(a, m)
+            even_part = cs_inter(EVENS, s_m)
+            for n in range(self.COLUMNS):
+                assert cs_member(s_m, [n]) == self.in_level(a, m, n)
+                assert cs_member(even_part, [n]) == (n % 2 == 0 and self.in_level(a, m, n))
+
+    def test_fusion_against_longer_index_cycle(self):
+        # The index set must lie almost inside every level set, so a cycle
+        # coprime to the tail's would force a full tail; periods 4 and 6
+        # still align only at their lcm 12.
+        first = LayeredSet.make([natset([0, 1], (1,))], "full")
+        even_last_coordinate = CubeSet.node((), (CubeSet.node((), (EVENS,)),))
+        last = LayeredSet.make(["full", "empty", even_last_coordinate], (True, False, True, True))
+        index = natset([1, 1, 1, 1], (0, 0, 0, 0, 0, 1))
+        result = ls_fusion([first, last], index)
+        for n in range(self.COLUMNS):
+            surviving = cs_member(index, [n]) and all(
+                self.in_level(a, m, n) for a in (first, last) for m in range(2)
+            )
+            assert result.column(n) == (last.column(n) if surviving else False)
 
 
 class TestLevelSets:
