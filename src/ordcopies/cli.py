@@ -19,6 +19,7 @@ from .cubesets import (
     cs_order_type,
     cs_select,
     cube_from_json,
+    cube_to_json,
 )
 from .errors import DomainError, InputFormatError
 from .forcing import factorize, iteration_form, render_expr
@@ -55,7 +56,6 @@ from .posets import (
     sep_quot,
 )
 from .verify import SUITES, run_suites
-from .cubesets import cube_to_json
 
 
 @dataclass
@@ -225,13 +225,8 @@ def _run_layer(args) -> str:
         index = _load_index_set(args.index)
         return json.dumps(layered_to_json(ls_fusion(sets, index))) + "\n"
     a = _load_layered(args.file)
-    if args.op == "sset":
-        result = ls_s_set(a, args.m)
-        if isinstance(result, FinCof):
-            return json.dumps(result.to_json()) + "\n"
-        return json.dumps(cube_to_json(result)) + "\n"
-    if args.op == "supp":
-        result = ls_supp(a)
+    if args.op in ("sset", "supp"):
+        result = ls_s_set(a, args.m) if args.op == "sset" else ls_supp(a)
         if isinstance(result, FinCof):
             return json.dumps(result.to_json()) + "\n"
         return json.dumps(cube_to_json(result)) + "\n"

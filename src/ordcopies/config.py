@@ -2,8 +2,9 @@
 
 The single knob is the ``ORDCOPIES_NMAX`` environment variable (default 4).
 It bounds the dimension of cube sets and, doubled, the explicit prefix
-length of layered sets.  Caps exist because representation sizes grow
-multiplicatively with cycle alignment, not because anything overflows.
+length of layered sets: every layered value, inputs and results alike,
+measured on its canonical prefix.  Caps exist because representation sizes
+grow multiplicatively with cycle alignment, not because anything overflows.
 """
 
 import os

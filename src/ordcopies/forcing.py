@@ -36,6 +36,7 @@ from .ordinals import (
     ONE,
     Ordinal,
     OrdinalLike,
+    _Parser,
     ord_add,
     ord_cmp,
     ord_mul,
@@ -317,55 +318,10 @@ def render_expr(e: ForcingExpr, fmt: str = "text") -> str:
 # -- text parsing ------------------------------------------------------------
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _ExprParser(_Parser):
+    """The expression grammar on the ordinal scanner; gamma is read in place."""
 
-    def error(self, message: str) -> ExprParseError:
-        return ExprParseError(f"{message} (at position {self.pos} in {self.text!r})")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def literal(self, token: str) -> bool:
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token: str) -> None:
-        if not self.literal(token):
-            raise self.error(f"expected {token!r}")
-
-    def natural(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        return int(self.text[start : self.pos])
-
-    def ordinal_in_parens(self) -> Ordinal:
-        # Assumes the opening "(" was consumed; reads a balanced chunk.
-        depth = 1
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    text = self.text[start : self.pos]
-                    self.pos += 1
-                    return parse_ordinal(text)
-            self.pos += 1
-        raise self.error("unbalanced parentheses in an ordinal")
+    error_type = ExprParseError
 
     def expr(self) -> ForcingExpr:
         factors = [self.atom()]
@@ -394,22 +350,20 @@ class _ExprParser:
                 depth = self.natural()
             self.expect("(")
             inner = self.expr()
-            self.skip_ws()
             self.expect(")")
             return ReducedPowerIter(inner, depth)
         if self.literal("P(w)/fin"):
             return QuotientAlgebra(ONE)
         if self.literal("P(w^("):
-            gamma = self.ordinal_in_parens()
-            self.expect(")/I_(w^(")
-            again = self.ordinal_in_parens()
-            self.expect(")")
+            gamma = self.ordinal()
+            self.expect("))/I_(w^(")
+            again = self.ordinal()
+            self.expect("))")
             if gamma != again:
                 raise self.error("the quotient base and its ideal disagree")
             return QuotientAlgebra(gamma)
         if self.literal("("):
             inner = self.expr()
-            self.skip_ws()
             self.expect(")")
             self.expect("^")
             if self.literal("+"):
@@ -420,9 +374,4 @@ class _ExprParser:
 
 def parse_expr(text: str) -> ForcingExpr:
     """Parse the text rendering back into an AST."""
-    parser = _ExprParser(text)
-    result = parser.expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input")
-    return result
+    return _ExprParser(text).parse(_ExprParser.expr)

@@ -201,6 +201,10 @@ class LayeredSet:
 
     @classmethod
     def _raw(cls, prefix, tail) -> "LayeredSet":
+        # Trusted constructor: the stream must already be canonical.  It is
+        # where every layered value, input or result, meets the prefix cap.
+        if len(prefix) > config.prefix_cap():
+            raise CapError(f"prefix length {len(prefix)} exceeds the cap {config.prefix_cap()}")
         self = object.__new__(cls)
         self.prefix = prefix
         self.tail = tail
@@ -227,8 +231,6 @@ class LayeredSet:
                 if col is None:
                     raise SchemaError(f"column {n} is not a cube set or empty/full")
             cols.append(col)
-        if len(cols) > config.prefix_cap():
-            raise CapError(f"prefix length {len(cols)} exceeds the cap {config.prefix_cap()}")
         return cls._raw(*_canonical(cols, tail))
 
     @classmethod

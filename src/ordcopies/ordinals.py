@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple, Union
 
-from .errors import OrdinalParseError, RangeError
+from .errors import InputFormatError, OrdinalParseError, RangeError
 
 LT, EQ, GT = -1, 0, 1
 
@@ -83,9 +83,6 @@ class Ordinal:
         """Nonzero with no finite part."""
         return bool(self._terms) and not self._terms[-1][0].is_zero()
 
-    def is_successor(self) -> bool:
-        return bool(self._terms) and self._terms[-1][0].is_zero()
-
     def leading_exponent(self) -> "Ordinal":
         if not self._terms:
             raise RangeError("zero has no leading exponent")
@@ -119,10 +116,6 @@ class Ordinal:
         if not isinstance(other, Ordinal):
             return NotImplemented
         return self._terms == other._terms
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -353,12 +346,24 @@ def left_difference(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
 
 
 class _Parser:
+    """A recursive-descent scanner over ``text``; subclasses add grammars."""
+
+    error_type = OrdinalParseError
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def error(self, message: str) -> OrdinalParseError:
-        return OrdinalParseError(f"{message} (at position {self.pos} in {self.text!r})")
+    def error(self, message: str) -> InputFormatError:
+        return self.error_type(f"{message} (at position {self.pos} in {self.text!r})")
+
+    def parse(self, rule):
+        """Run ``rule`` on this scanner and reject trailing input."""
+        result = rule(self)
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("trailing input")
+        return result
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -367,10 +372,15 @@ class _Parser:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+    def literal(self, token: str) -> bool:
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def expect(self, token: str) -> None:
+        if not self.literal(token):
+            raise self.error(f"expected {token!r}")
 
     def natural(self) -> int:
         start = self.pos
@@ -386,9 +396,8 @@ class _Parser:
             self.skip_ws()
             terms.append(self.term())
             self.skip_ws()
-            if self.peek() != "+":
+            if not self.literal("+"):
                 break
-            self.pos += 1
         if len(terms) == 1 and terms[0] == (ZERO, 0):
             return ZERO
         result = []
@@ -401,17 +410,13 @@ class _Parser:
         return Ordinal._make(tuple(result))
 
     def term(self) -> Tuple[Ordinal, int]:
-        if self.peek() == "w":
-            self.pos += 1
+        if self.literal("w"):
             exponent = ONE
             self.skip_ws()
-            if self.peek() == "^":
-                self.pos += 1
+            if self.literal("^"):
                 self.skip_ws()
-                if self.peek() == "(":
-                    self.pos += 1
+                if self.literal("("):
                     exponent = self.ordinal()
-                    self.skip_ws()
                     self.expect(")")
                 elif self.peek().isdigit():
                     exponent = Ordinal(self.natural())
@@ -419,8 +424,7 @@ class _Parser:
                     raise self.error("expected '(' or digits after '^'")
             coeff = 1
             self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
+            if self.literal("*"):
                 self.skip_ws()
                 coeff = self.natural()
                 if coeff == 0:
@@ -435,9 +439,4 @@ class _Parser:
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the ordinal text grammar; rejects non-canonical input."""
-    parser = _Parser(text)
-    result = parser.ordinal()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input")
-    return result
+    return _Parser(text).parse(_Parser.ordinal)

@@ -46,9 +46,6 @@ class FinPoset:
     def size(self) -> int:
         return self._le.shape[0]
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self._le[i, j])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinPoset):
             return NotImplemented
@@ -96,23 +93,10 @@ def sep_quot(p: FinPoset) -> FinPoset:
     if p.size == 0:
         return p
     le_star = sep_mod(p).le
-    eq_star = le_star & le_star.T
-    reps: List[int] = []
-    cls = [-1] * p.size
-    for i in range(p.size):
-        for c, r in enumerate(reps):
-            if eq_star[i, r]:
-                cls[i] = c
-                break
-        else:
-            cls[i] = len(reps)
-            reps.append(i)
-    size = len(reps)
-    le = np.zeros((size, size), dtype=bool)
-    for a, i in enumerate(reps):
-        for b, j in enumerate(reps):
-            le[a, b] = le_star[i, j]
-    return FinPoset(le)
+    # The first index of each <=*-class represents it: i is kept unless
+    # some j < i is <=*-equivalent to it.
+    keep = ~np.tril(le_star & le_star.T, -1).any(axis=1)
+    return FinPoset(le_star[keep][:, keep])
 
 
 def poset_product(p: FinPoset, q: FinPoset) -> FinPoset:
@@ -140,10 +124,10 @@ def _signatures(p: FinPoset) -> List:
     return colors
 
 
-def poset_iso(p: FinPoset, q: FinPoset, max_size: int = ISO_SIZE_CAP) -> Optional[List[int]]:
+def poset_iso(p: FinPoset, q: FinPoset) -> Optional[List[int]]:
     """An order isomorphism as an index map, or None if there is none."""
-    if max(p.size, q.size) > max_size:
-        raise CapError(f"isomorphism search is capped at {max_size} elements")
+    if max(p.size, q.size) > ISO_SIZE_CAP:
+        raise CapError(f"isomorphism search is capped at {ISO_SIZE_CAP} elements")
     if p.size != q.size:
         return None
     m = p.size

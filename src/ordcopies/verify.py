@@ -38,6 +38,7 @@ from .forcing import (
     QuotientAlgebra,
     ReducedPowerIter,
     factorize,
+    iteration_form,
     parse_expr,
     render_expr,
 )
@@ -69,6 +70,16 @@ from .ordinals import (
     ord_mul,
     ord_pow,
     parse_ordinal,
+)
+from .posets import (
+    FinPoset,
+    all_preorders,
+    is_separative,
+    poset_iso,
+    poset_product,
+    random_preorder,
+    sep_mod,
+    sep_quot,
 )
 
 
@@ -568,8 +579,6 @@ def check_fusion_claims(samples: int = 100, name: str = "layered.fusion") -> Che
 
 
 def check_sq_product_exhaustive(name: str = "posets.sq-product-small") -> Check:
-    from .posets import all_preorders, is_separative, poset_iso, poset_product, sep_quot
-
     small = []
     for n in (1, 2, 3):
         small.extend(all_preorders(n))
@@ -586,8 +595,6 @@ def check_sq_product_exhaustive(name: str = "posets.sq-product-small") -> Check:
 
 def check_sq_product_random(samples: int = 500, max_size: int = 5,
                             name: str = "posets.sq-product-random") -> Check:
-    from .posets import is_separative, poset_iso, poset_product, random_preorder, sep_quot
-
     rng = _seeded(name)
     for _ in range(samples):
         p = random_preorder(rng, rng.randint(1, max_size))
@@ -600,8 +607,6 @@ def check_sq_product_random(samples: int = 500, max_size: int = 5,
 
 
 def check_sq_soundness(samples: int = 200, name: str = "posets.sq-soundness") -> Check:
-    from .posets import is_separative, poset_iso, random_preorder, sep_mod, sep_quot
-
     rng = _seeded(name)
     for _ in range(samples):
         p = random_preorder(rng, rng.randint(1, 6))
@@ -619,8 +624,6 @@ def check_sq_soundness(samples: int = 200, name: str = "posets.sq-soundness") ->
 
 
 def check_sq_respects_iso(samples: int = 200, name: str = "posets.sq-respects-iso") -> Check:
-    from .posets import FinPoset, poset_iso, random_preorder, sep_quot
-
     rng = _seeded(name)
     for _ in range(samples):
         p = random_preorder(rng, rng.randint(1, 6))
@@ -694,8 +697,6 @@ def check_factor_invariants(samples: int = 1000, name: str = "factorizer.invaria
 
 
 def check_render_roundtrip(samples: int = 200, name: str = "factorizer.render-roundtrip") -> Check:
-    from .forcing import iteration_form
-
     rng = _seeded(name)
     for _ in range(samples):
         alpha = random_alpha_below_w_w2(rng)

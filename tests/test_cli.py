@@ -1,4 +1,5 @@
 import json
+import random
 
 from ordcopies import (
     cs_full,
@@ -13,6 +14,7 @@ from ordcopies import (
     poset_from_text,
 )
 from ordcopies.cli import run
+from ordcopies.verify import random_fusion_instance
 
 
 def write(tmp_path, name, text):
@@ -130,6 +132,28 @@ class TestLayerCommands:
         result = run(["layer", "fusion", "--file", full, "--file", full, "--s", index])
         assert result.exit_code == 0
         assert json.loads(result.stdout) == {"prefix": ["empty", "empty"], "tail": "full"}
+
+    def test_fusion_refuses_a_result_over_the_prefix_cap(self, tmp_path):
+        full = write_json(tmp_path, "full.json", layered_to_json(LayeredSet.full()))
+        index = write_json(tmp_path, "s.json", FinCof.cofinite([1, 3, 5, 7, 9, 11]).to_json())
+        result = run(["layer", "fusion", "--file", full, "--s", index])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "error: prefix length 12 exceeds the cap 8\n"
+
+    def test_fusion_output_reads_back(self, tmp_path):
+        rng = random.Random("fusion-round-trip")
+        for k in range(50):
+            sets, index = random_fusion_instance(rng)
+            files = []
+            for n, a in enumerate(sets):
+                files += ["--file", write_json(tmp_path, f"a{k}_{n}.json", layered_to_json(a))]
+            index_json = index.to_json() if isinstance(index, FinCof) else cube_to_json(index)
+            s = write_json(tmp_path, f"s{k}.json", index_json)
+            fused = run(["layer", "fusion", *files, "--s", s])
+            assert fused.exit_code == 0, fused.stderr
+            out = write(tmp_path, f"out{k}.json", fused.stdout)
+            result = run(["layer", "type", "--file", out])
+            assert result.exit_code == 0, result.stderr
 
     def test_fusion_precondition_exits_1(self, tmp_path):
         full = write_json(tmp_path, "full.json", layered_to_json(LayeredSet.full()))

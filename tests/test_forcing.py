@@ -217,8 +217,14 @@ class TestParsing:
             "P(w^(w))/I_(w^(2))",
             "(P(w)/fin)^+ x",
             "(P(w)/fin)^+ *",
+            "P(w^(x))/I_(w^(x))",
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ExprParseError):
             parse_expr(bad)
+
+    def test_bad_gamma_is_positioned_in_the_whole_text(self):
+        text = "P(w^(x))/I_(w^(x))"
+        with pytest.raises(ExprParseError, match=r"at position 5 in 'P\(w\^\(x\)\)/I_"):
+            parse_expr(text)

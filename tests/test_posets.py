@@ -92,6 +92,16 @@ class TestSeparativeQuotient:
         q = sep_quot(poset_product(chain(2), antichain(2)))
         assert poset_iso(q, antichain(2)) is not None
 
+    def test_first_index_represents_each_class(self):
+        # 1 is the top, 2 and 3 are atoms, and 0 lies below 3 alone, so 0
+        # and 3 are <=*-equivalent.  The class {0, 3} is kept as index 0.
+        p = FinPoset(
+            np.array([[1, 1, 0, 1], [0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=bool)
+        )
+        assert poset_to_text(sep_quot(p)) == "3\n110\n010\n011\n"
+        kept = [0, 1, 2]
+        assert np.array_equal(sep_quot(p).le, sep_mod(p).le[np.ix_(kept, kept)])
+
     def test_soundness_sample(self):
         result = check_sq_soundness(samples=80)
         assert result.ok, result.detail
