@@ -466,7 +466,7 @@ def cube_from_json(obj) -> CubeSet:
         cycle = obj["cycle"]
     except KeyError as missing:
         raise SchemaError(f"cube-set object lacks key {missing}") from None
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(prefix, list) or not isinstance(cycle, list):
         raise SchemaError("prefix and cycle must be arrays")

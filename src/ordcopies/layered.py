@@ -65,6 +65,12 @@ Column = Union[CubeSet, bool]
 # -- finite/cofinite subsets of w ---------------------------------------------
 
 
+def _natural(n) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise SchemaError(f"exceptions must be naturals, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class FinCof:
     """A finite or cofinite subset of the naturals.
@@ -80,10 +86,8 @@ class FinCof:
     def __post_init__(self):
         if self.kind not in ("finite", "cofinite"):
             raise SchemaError(f"kind must be finite or cofinite, got {self.kind!r}")
-        object.__setattr__(self, "exceptions", frozenset(self.exceptions))
-        for n in self.exceptions:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise SchemaError(f"exceptions must be naturals, got {n!r}")
+        # Each exception is checked before it is hashed into the set.
+        object.__setattr__(self, "exceptions", frozenset(map(_natural, self.exceptions)))
 
     @classmethod
     def finite(cls, members: Iterable[int] = ()) -> "FinCof":
@@ -144,7 +148,7 @@ class FinCof:
             raise SchemaError("expected {kind, exceptions}")
         if not isinstance(obj["exceptions"], list):
             raise SchemaError("exceptions must be an array")
-        return cls(obj["kind"], frozenset(obj["exceptions"]))
+        return cls(obj["kind"], obj["exceptions"])
 
 
 # -- eventually periodic subsets of w, as dimension-1 cube sets ---------------
@@ -467,4 +471,8 @@ def layered_from_json(obj) -> LayeredSet:
             prefix.append(col)
         else:
             prefix.append(cube_from_json(col))
-    return LayeredSet.make(prefix, obj["tail"])
+    tail = obj["tail"]
+    pattern = tail if isinstance(tail, list) and tail else [tail]
+    if not all(t in ("empty", "full") for t in pattern):
+        raise SchemaError("tail must be empty/full or a pattern of them")
+    return LayeredSet.make(prefix, tail)

@@ -196,12 +196,12 @@ def all_preorders(n: int) -> List[FinPoset]:
     return result
 
 
-def random_preorder(rng, n: int, density: float = 0.3) -> FinPoset:
+def random_preorder(rng, n: int) -> FinPoset:
     """A random pre-order: random arcs, then the reflexive-transitive closure."""
     le = np.eye(n, dtype=bool)
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < density:
+            if i != j and rng.random() < 0.3:
                 le[i, j] = True
     for k in range(n):  # Warshall closure
         le |= np.outer(le[:, k], le[k, :])

@@ -1,9 +1,10 @@
 """Deterministic property suites and the random generators behind them.
 
-Each suite replays the algebraic laws the package is built on, with fixed
-seeds so a run is reproducible.  The CLI ``verify`` command prints one line
-per check; the acceptance tests reuse the same check functions at their
-full sample sizes.
+Each suite replays the algebraic laws the package is built on.  A sampled
+check is a per-sample law that ``_law`` runs over one rng stream seeded by
+the check's name, so a run is reproducible and a failure names its sample.
+The CLI ``verify`` command prints one line per check; the acceptance tests
+reuse the same check functions at their full sample sizes.
 """
 
 from __future__ import annotations
@@ -90,16 +91,25 @@ class Check:
     detail: str = ""
 
 
-def _fail(name: str, detail: str) -> Check:
-    return Check(name, False, detail)
+def _law(name: str, samples: int):
+    """Make ``body(rng, index)``, which returns None or what went wrong, the
+    check ``name`` over the first ``samples`` samples of the rng stream seeded
+    by that name.  A failure names its sample as ``[name:index]``; calling
+    the check with ``samples=index + 1`` replays it."""
 
+    def wrap(body: Callable[[random.Random, int], Optional[str]]) -> Callable[..., Check]:
+        def check(samples: int = samples) -> Check:
+            rng = random.Random(f"ordcopies:{name}")
+            for index in range(samples):
+                message = body(rng, index)
+                if message is not None:
+                    return Check(name, False, f"{message} [{name}:{index}]")
+            return Check(name, True)
 
-def _ok(name: str) -> Check:
-    return Check(name, True)
+        check.__name__, check.__doc__ = body.__name__, body.__doc__
+        return check
 
-
-def _seeded(name: str) -> random.Random:
-    return random.Random(f"ordcopies:{name}")
+    return wrap
 
 
 # -- generators ----------------------------------------------------------------
@@ -121,17 +131,17 @@ def random_ordinal(rng, depth: int = 1, max_terms: int = 3, max_coeff: int = 4) 
     return Ordinal.from_terms(terms)
 
 
-def random_cubeset(rng, dim: int, density: float = 0.5) -> CubeSet:
+def random_cubeset(rng, dim: int) -> CubeSet:
     if dim == 0:
-        return CubeSet.leaf(rng.random() < density)
-    prefix = [random_cubeset(rng, dim - 1, density) for _ in range(rng.randint(0, 2))]
-    cycle = [random_cubeset(rng, dim - 1, density) for _ in range(rng.randint(1, 3))]
+        return CubeSet.leaf(rng.random() < 0.5)
+    prefix = [random_cubeset(rng, dim - 1) for _ in range(rng.randint(0, 2))]
+    cycle = [random_cubeset(rng, dim - 1) for _ in range(rng.randint(1, 3))]
     return CubeSet.node(prefix, cycle)
 
 
-def random_layered(rng, max_prefix: int = 4, cyclic_tails: bool = False) -> LayeredSet:
+def random_layered(rng, cyclic_tails: bool = False) -> LayeredSet:
     prefix = []
-    for n in range(rng.randint(0, max_prefix)):
+    for n in range(rng.randint(0, 4)):
         roll = rng.random()
         if roll < 0.25:
             prefix.append(False)
@@ -154,10 +164,11 @@ def random_increasing_exponents(rng, count: int) -> List[Ordinal]:
     return sorted(seen, key=cmp_to_key(ord_cmp))
 
 
-def random_alpha_below_w_w2(rng, require_infinite: bool = True) -> Ordinal:
-    """A random ordinal below w^(w*2), the factorizer's sampling range."""
+def random_alpha_below_w_w2(rng) -> Ordinal:
+    """A random infinite ordinal below w^(w*2), the factorizer's sampling
+    range: at least one term, each with a positive exponent."""
     exponents = {}
-    for _ in range(rng.randint(1 if require_infinite else 0, 3)):
+    for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
             e = ord_add(OMEGA, rng.randint(0, 5))
         else:
@@ -169,8 +180,6 @@ def random_alpha_below_w_w2(rng, require_infinite: bool = True) -> Ordinal:
     alpha = Ordinal.from_terms(terms)
     if rng.random() < 0.5:
         alpha = ord_add(alpha, rng.randint(1, 9))
-    if require_infinite and alpha.is_finite():
-        return OMEGA
     return alpha
 
 
@@ -189,66 +198,59 @@ def random_infinite_index_set(rng) -> Union[FinCof, CubeSet]:
 # -- ordinal checks --------------------------------------------------------------
 
 
-def check_ordinal_laws(samples: int = 300, name: str = "ordinals.laws") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        a = random_ordinal(rng)
-        b = random_ordinal(rng)
-        c = random_ordinal(rng)
-        if ord_add(ord_add(a, b), c) != ord_add(a, ord_add(b, c)):
-            return _fail(name, f"(a+b)+c != a+(b+c) for {a}, {b}, {c}")
-        if ord_mul(ord_mul(a, b), c) != ord_mul(a, ord_mul(b, c)):
-            return _fail(name, f"(ab)c != a(bc) for {a}, {b}, {c}")
-        if ord_mul(a, ord_add(b, c)) != ord_add(ord_mul(a, b), ord_mul(a, c)):
-            return _fail(name, f"a(b+c) != ab+ac for {a}, {b}, {c}")
-    return _ok(name)
+@_law("ordinals.laws", 300)
+def check_ordinal_laws(rng, _):
+    a = random_ordinal(rng)
+    b = random_ordinal(rng)
+    c = random_ordinal(rng)
+    if ord_add(ord_add(a, b), c) != ord_add(a, ord_add(b, c)):
+        return f"(a+b)+c != a+(b+c) for {a}, {b}, {c}"
+    if ord_mul(ord_mul(a, b), c) != ord_mul(a, ord_mul(b, c)):
+        return f"(ab)c != a(bc) for {a}, {b}, {c}"
+    if ord_mul(a, ord_add(b, c)) != ord_add(ord_mul(a, b), ord_mul(a, c)):
+        return f"a(b+c) != ab+ac for {a}, {b}, {c}"
 
 
-def check_noncommutativity(name: str = "ordinals.noncommutative") -> Check:
+def check_noncommutativity() -> Check:
+    name = "ordinals.noncommutative"
     if ord_add(1, OMEGA) != OMEGA or ord_add(OMEGA, 1) == OMEGA:
-        return _fail(name, "addition witnesses failed")
+        return Check(name, False, "addition witnesses failed")
     if ord_mul(2, OMEGA) != OMEGA or ord_mul(OMEGA, 2) == OMEGA:
-        return _fail(name, "multiplication witnesses failed")
-    return _ok(name)
+        return Check(name, False, "multiplication witnesses failed")
+    return Check(name, True)
 
 
-def check_power_law(samples: int = 150, name: str = "ordinals.power-law") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        a = random_ordinal(rng, depth=1, max_terms=2, max_coeff=2)
-        b = random_ordinal(rng, depth=0, max_terms=2, max_coeff=2)
-        c = random_ordinal(rng, depth=0, max_terms=2, max_coeff=2)
-        if ord_pow(a, ord_add(b, c)) != ord_mul(ord_pow(a, b), ord_pow(a, c)):
-            return _fail(name, f"a^(b+c) != a^b * a^c for {a}, {b}, {c}")
-        if ord_pow(ord_pow(a, b), c) != ord_pow(a, ord_mul(b, c)):
-            return _fail(name, f"(a^b)^c != a^(b*c) for {a}, {b}, {c}")
-    return _ok(name)
+@_law("ordinals.power-law", 150)
+def check_power_law(rng, _):
+    a = random_ordinal(rng, depth=1, max_terms=2, max_coeff=2)
+    b = random_ordinal(rng, depth=0, max_terms=2, max_coeff=2)
+    c = random_ordinal(rng, depth=0, max_terms=2, max_coeff=2)
+    if ord_pow(a, ord_add(b, c)) != ord_mul(ord_pow(a, b), ord_pow(a, c)):
+        return f"a^(b+c) != a^b * a^c for {a}, {b}, {c}"
+    if ord_pow(ord_pow(a, b), c) != ord_pow(a, ord_mul(b, c)):
+        return f"(a^b)^c != a^(b*c) for {a}, {b}, {c}"
 
 
-def check_cofinal_fold(samples: int = 200, name: str = "ordinals.cofinal-fold") -> Check:
+@_law("ordinals.cofinal-fold", 200)
+def check_cofinal_fold(rng, _):
     """Summing w^e over strictly increasing exponents leaves the last term."""
-    rng = _seeded(name)
-    for _ in range(samples):
-        exponents = random_increasing_exponents(rng, rng.randint(1, 5))
-        if any(e.is_zero() for e in exponents):
-            exponents = [ord_add(e, 1) for e in exponents]
-        total = ZERO
-        for e in exponents:
-            total = ord_add(total, omega_power(e))
-        if total != omega_power(exponents[-1]):
-            return _fail(name, f"fold over {[str(e) for e in exponents]} gave {total}")
-    return _ok(name)
+    exponents = random_increasing_exponents(rng, rng.randint(1, 5))
+    if any(e.is_zero() for e in exponents):
+        exponents = [ord_add(e, 1) for e in exponents]
+    total = ZERO
+    for e in exponents:
+        total = ord_add(total, omega_power(e))
+    if total != omega_power(exponents[-1]):
+        return f"fold over {[str(e) for e in exponents]} gave {total}"
 
 
-def check_indecomposable_sums(samples: int = 200, name: str = "ordinals.indecomposable-sums") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        d2 = random_ordinal(rng, depth=0, max_terms=2)
-        d2 = ord_add(d2, 1)
-        d1 = ord_add(d2, random_ordinal(rng, depth=0, max_terms=2))
-        if is_indecomposable(ord_add(omega_power(d1), omega_power(d2))):
-            return _fail(name, f"w^({d1}) + w^({d2}) passed as indecomposable")
-    return _ok(name)
+@_law("ordinals.indecomposable-sums", 200)
+def check_indecomposable_sums(rng, _):
+    d2 = random_ordinal(rng, depth=0, max_terms=2)
+    d2 = ord_add(d2, 1)
+    d1 = ord_add(d2, random_ordinal(rng, depth=0, max_terms=2))
+    if is_indecomposable(ord_add(omega_power(d1), omega_power(d2))):
+        return f"w^({d1}) + w^({d2}) passed as indecomposable"
 
 
 # -- cube-set checks --------------------------------------------------------------
@@ -270,92 +272,83 @@ _BLOCK_LIMIT_TABLE: Sequence[Tuple[str, str]] = (
 )
 
 
-def check_block_limit_table(name: str = "cubesets.block-limit-table") -> Check:
+def check_block_limit_table() -> Check:
     """The closed form c * w = w^(e+1) against hand-checked values and
     against truncated partial sums."""
+    name = "cubesets.block-limit-table"
     for block_text, expected_text in _BLOCK_LIMIT_TABLE:
         block = parse_ordinal(block_text)
         expected = parse_ordinal(expected_text)
         closed = omega_power(ord_add(block.leading_exponent(), ONE))
         if closed != expected:
-            return _fail(name, f"closed form for {block} gave {closed}, expected {expected}")
+            return Check(name, False, f"closed form for {block} gave {closed}, expected {expected}")
         partial = ZERO
         floor = omega_power(block.leading_exponent())
         for k in range(1, 12):
             partial = ord_add(partial, block)
             if partial != ord_mul(block, k):
-                return _fail(name, f"partial sum mismatch at {block} * {k}")
+                return Check(name, False, f"partial sum mismatch at {block} * {k}")
             if ord_cmp(partial, expected) != LT:
-                return _fail(name, f"partial sum {partial} not below {expected}")
+                return Check(name, False, f"partial sum {partial} not below {expected}")
             if ord_cmp(ord_mul(floor, k), partial) == GT:
-                return _fail(name, f"partial sums of {block} grow too slowly")
-    return _ok(name)
+                return Check(name, False, f"partial sums of {block} grow too slowly")
+    return Check(name, True)
 
 
-def check_oracle_agreement(per_dim: int = 1000, dims: Sequence[int] = (1, 2, 3),
-                           name: str = "cubesets.oracle-agreement") -> Check:
-    """Fubini positivity and full order type decide the same ideal."""
-    rng = _seeded(name)
-    for dim in dims:
-        target = omega_power(dim)
-        for _ in range(per_dim):
-            a = random_cubeset(rng, dim)
-            if cs_fubini_positive(a) != (cs_order_type(a) == target):
-                return _fail(name, f"oracles disagree on {a!r} (dim {dim})")
-    return _ok(name)
+@_law("cubesets.oracle-agreement", 3000)
+def check_oracle_agreement(rng, index):
+    """Fubini positivity and full order type decide the same ideal; a
+    thousand samples each in dimensions 1, 2 and 3."""
+    dim = 1 + index // 1000
+    a = random_cubeset(rng, dim)
+    if cs_fubini_positive(a) != (cs_order_type(a) == omega_power(dim)):
+        return f"oracles disagree on {a!r} (dim {dim})"
 
 
-def check_indivisibility(per_dim: int = 1000, dims: Sequence[int] = (1, 2, 3),
-                         name: str = "cubesets.indivisibility") -> Check:
-    rng = _seeded(name)
-    for dim in dims:
-        target = omega_power(dim)
-        for _ in range(per_dim):
-            a = random_cubeset(rng, dim)
-            if cs_order_type(a) != target and cs_order_type(cs_complement(a)) != target:
-                return _fail(name, f"neither {a!r} nor its complement is a copy (dim {dim})")
-    return _ok(name)
+@_law("cubesets.indivisibility", 3000)
+def check_indivisibility(rng, index):
+    """A set or its complement is a copy; a thousand samples each in
+    dimensions 1, 2 and 3."""
+    dim = 1 + index // 1000
+    target = omega_power(dim)
+    a = random_cubeset(rng, dim)
+    if cs_order_type(a) != target and cs_order_type(cs_complement(a)) != target:
+        return f"neither {a!r} nor its complement is a copy (dim {dim})"
 
 
-def check_monotone_types(samples: int = 300, name: str = "cubesets.monotone-types") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        dim = rng.randint(1, 3)
-        a = random_cubeset(rng, dim)
-        b = cs_union(a, random_cubeset(rng, dim))
-        ta, tb = cs_order_type(a), cs_order_type(b)
-        if ord_cmp(ta, tb) == GT:
-            return _fail(name, f"subset with larger type (dim {dim})")
-        if ord_cmp(tb, omega_power(dim)) == GT:
-            return _fail(name, f"type above the ambient w^({dim})")
-    return _ok(name)
+@_law("cubesets.monotone-types", 300)
+def check_monotone_types(rng, _):
+    dim = rng.randint(1, 3)
+    a = random_cubeset(rng, dim)
+    b = cs_union(a, random_cubeset(rng, dim))
+    ta, tb = cs_order_type(a), cs_order_type(b)
+    if ord_cmp(ta, tb) == GT:
+        return f"subset with larger type (dim {dim})"
+    if ord_cmp(tb, omega_power(dim)) == GT:
+        return f"type above the ambient w^({dim})"
 
 
-def check_boolean_laws(samples: int = 300, name: str = "cubesets.boolean-laws") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        dim = rng.randint(1, 3)
-        a = random_cubeset(rng, dim)
-        b = random_cubeset(rng, dim)
-        if cs_complement(cs_complement(a)) != a:
-            return _fail(name, "complement is not an involution")
-        if cs_complement(cs_union(a, b)) != cs_inter(cs_complement(a), cs_complement(b)):
-            return _fail(name, "De Morgan failed")
-        if cs_union(a, cs_inter(a, b)) != a:
-            return _fail(name, "absorption failed")
-        if cs_diff(a, b) != cs_inter(a, cs_complement(b)):
-            return _fail(name, "difference is not meet-with-complement")
-    return _ok(name)
+@_law("cubesets.boolean-laws", 300)
+def check_boolean_laws(rng, _):
+    dim = rng.randint(1, 3)
+    a = random_cubeset(rng, dim)
+    b = random_cubeset(rng, dim)
+    if cs_complement(cs_complement(a)) != a:
+        return "complement is not an involution"
+    if cs_complement(cs_union(a, b)) != cs_inter(cs_complement(a), cs_complement(b)):
+        return "De Morgan failed"
+    if cs_union(a, cs_inter(a, b)) != a:
+        return "absorption failed"
+    if cs_diff(a, b) != cs_inter(a, cs_complement(b)):
+        return "difference is not meet-with-complement"
 
 
-def check_segment_types(samples: int = 200, name: str = "cubesets.segment-types") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        n = rng.randint(1, 3)
-        alpha = random_segment_bound(rng, n)
-        if cs_order_type(initial_segment(n, alpha)) != alpha:
-            return _fail(name, f"segment of {alpha} in w^({n}) has the wrong type")
-    return _ok(name)
+@_law("cubesets.segment-types", 200)
+def check_segment_types(rng, _):
+    n = rng.randint(1, 3)
+    alpha = random_segment_bound(rng, n)
+    if cs_order_type(initial_segment(n, alpha)) != alpha:
+        return f"segment of {alpha} in w^({n}) has the wrong type"
 
 
 def random_segment_bound(rng, n: int) -> Ordinal:
@@ -369,35 +362,28 @@ def random_segment_bound(rng, n: int) -> Ordinal:
     return Ordinal.from_terms(pairs)
 
 
-def check_select_consistency(samples: int = 500, name: str = "cubesets.select") -> Check:
-    rng = _seeded(name)
-    done = 0
-    while done < samples:
-        dim = rng.randint(1, 3)
-        a = random_cubeset(rng, dim)
-        t = cs_order_type(a)
-        xi = random_segment_bound(rng, dim)
-        defined = ord_cmp(xi, t) == LT
-        try:
-            p = cs_select(a, xi)
-        except RangeError:
-            if defined:
-                return _fail(name, f"selection refused a valid index {xi}")
-            done += 1
-            continue
-        if not defined:
-            return _fail(name, f"selection accepted {xi} >= type {t}")
-        if not cs_member(a, p):
-            return _fail(name, f"selected point {p} is not a member")
-        if cs_rank(a, p) != xi:
-            return _fail(name, f"rank does not invert selection at {xi}")
-        eta = random_segment_bound(rng, dim)
-        if ord_cmp(eta, t) == LT and eta != xi:
-            q = cs_select(a, eta)
-            if (ord_cmp(xi, eta) == LT) != (p < q):
-                return _fail(name, "selection is not strictly increasing")
-        done += 1
-    return _ok(name)
+@_law("cubesets.select", 500)
+def check_select_consistency(rng, _):
+    dim = rng.randint(1, 3)
+    a = random_cubeset(rng, dim)
+    t = cs_order_type(a)
+    xi = random_segment_bound(rng, dim)
+    defined = ord_cmp(xi, t) == LT
+    try:
+        p = cs_select(a, xi)
+    except RangeError:
+        return f"selection refused a valid index {xi}" if defined else None
+    if not defined:
+        return f"selection accepted {xi} >= type {t}"
+    if not cs_member(a, p):
+        return f"selected point {p} is not a member"
+    if cs_rank(a, p) != xi:
+        return f"rank does not invert selection at {xi}"
+    eta = random_segment_bound(rng, dim)
+    if ord_cmp(eta, t) == LT and eta != xi:
+        q = cs_select(a, eta)
+        if (ord_cmp(xi, eta) == LT) != (p < q):
+            return "selection is not strictly increasing"
 
 
 def _segment_columns(alpha: Ordinal) -> List[CubeSet]:
@@ -420,49 +406,45 @@ def lex_sum_set(a: Ordinal, b: Ordinal) -> CubeSet:
     return CubeSet.node(_segment_columns(a) + _segment_columns(b), (cs_empty(1),))
 
 
-def check_arithmetic_vs_lex(max_coeff: int = 3, name: str = "cubesets.arith-vs-lex") -> Check:
-    """Sums and products agree with the order types of explicit lex sets."""
+def check_arithmetic_vs_lex() -> Check:
+    """Sums and products agree with the order types of explicit lex sets,
+    for all w*i+j with i, j <= 3."""
+    name = "cubesets.arith-vs-lex"
     values = [
-        Ordinal.from_terms(
-            ([(ONE, i)] if i else []) + ([(ZERO, j)] if j else [])
-        )
-        for i in range(max_coeff + 1)
-        for j in range(max_coeff + 1)
+        Ordinal.from_terms(([(ONE, i)] if i else []) + ([(ZERO, j)] if j else []))
+        for i in range(4)
+        for j in range(4)
     ]
     for a in values:
         for b in values:
             if cs_order_type(lex_sum_set(a, b)) != ord_add(a, b):
-                return _fail(name, f"lex sum disagrees at {a}, {b}")
+                return Check(name, False, f"lex sum disagrees at {a}, {b}")
             product = cs_product(initial_segment(2, b), initial_segment(2, a))
             if cs_order_type(product) != ord_mul(a, b):
-                return _fail(name, f"lex product disagrees at {a}, {b}")
-    return _ok(name)
+                return Check(name, False, f"lex product disagrees at {a}, {b}")
+    return Check(name, True)
 
 
-def check_separativity_witness(samples: int = 150, name: str = "cubesets.separativity-witness") -> Check:
+@_law("cubesets.separativity-witness", 150)
+def check_separativity_witness(rng, _):
     """When a positive set is not almost-contained in another, the surplus
-    is itself a copy and avoids the other set entirely."""
-    rng = _seeded(name)
-    found = 0
-    attempts = 0
-    while found < samples:
-        attempts += 1
-        if attempts > samples * 80:
-            return _fail(name, "could not generate enough witness instances")
+    is itself a copy and avoids the other set entirely.  A sample draws
+    pairs until both the set and the surplus are positive."""
+    for _attempt in range(80):
         dim = rng.randint(1, 3)
         a = random_cubeset(rng, dim)
         b = random_cubeset(rng, dim)
         c = cs_diff(a, b)
-        if not cs_fubini_positive(a) or not cs_fubini_positive(c):
-            continue
-        if cs_order_type(c) != omega_power(dim):
-            return _fail(name, f"surplus of a positive non-inclusion is not a copy (dim {dim})")
-        if not cs_is_empty(cs_inter(c, b)):
-            return _fail(name, "witness meets the set it must avoid")
-        if not cs_is_empty(cs_diff(c, a)):
-            return _fail(name, "witness leaks outside the left set")
-        found += 1
-    return _ok(name)
+        if cs_fubini_positive(a) and cs_fubini_positive(c):
+            break
+    else:
+        return "no witness instance in 80 attempts"
+    if cs_order_type(c) != omega_power(dim):
+        return f"surplus of a positive non-inclusion is not a copy (dim {dim})"
+    if not cs_is_empty(cs_inter(c, b)):
+        return "witness meets the set it must avoid"
+    if not cs_is_empty(cs_diff(c, a)):
+        return "witness leaks outside the left set"
 
 
 # -- layered checks ----------------------------------------------------------------
@@ -472,63 +454,57 @@ def _natset_subset(a: CubeSet, b: CubeSet) -> bool:
     return cs_is_empty(cs_diff(a, b))
 
 
-def check_level_set_laws(samples: int = 500, m_max: int = 8, name: str = "layered.level-sets") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        a = random_layered(rng, cyclic_tails=True)
-        c = random_layered(rng, cyclic_tails=True)
-        b = ls_union(a, c)
-        support = supp_natset(a)
-        previous = None
-        for m in range(m_max + 1):
-            s_m = s_set_natset(a, m)
-            below = natset([True] * m, (False,))
-            if not _natset_subset(s_m, cs_diff(support, below)):
-                return _fail(name, f"S^{m} leaks outside supp minus {m}")
-            if previous is not None and not _natset_subset(s_m, previous):
-                return _fail(name, f"S^{m} is not contained in S^{m - 1}")
-            previous = s_m
-            if not _natset_subset(s_m, s_set_natset(b, m)):
-                return _fail(name, f"S^{m} not monotone under union at level {m}")
-            union_left = s_set_natset(ls_union(a, c), m)
-            union_right = cs_union(s_set_natset(a, m), s_set_natset(c, m))
-            if union_left != union_right:
-                return _fail(name, f"S^{m} of a union is not the union of S^{m}")
-    return _ok(name)
+@_law("layered.level-sets", 500)
+def check_level_set_laws(rng, _):
+    a = random_layered(rng, cyclic_tails=True)
+    c = random_layered(rng, cyclic_tails=True)
+    b = ls_union(a, c)
+    support = supp_natset(a)
+    previous = None
+    for m in range(9):
+        s_m = s_set_natset(a, m)
+        below = natset([True] * m, (False,))
+        if not _natset_subset(s_m, cs_diff(support, below)):
+            return f"S^{m} leaks outside supp minus {m}"
+        if previous is not None and not _natset_subset(s_m, previous):
+            return f"S^{m} is not contained in S^{m - 1}"
+        previous = s_m
+        if not _natset_subset(s_m, s_set_natset(b, m)):
+            return f"S^{m} not monotone under union at level {m}"
+        union_left = s_set_natset(ls_union(a, c), m)
+        union_right = cs_union(s_set_natset(a, m), s_set_natset(c, m))
+        if union_left != union_right:
+            return f"S^{m} of a union is not the union of S^{m}"
 
 
-def check_ideal_consistency(samples: int = 500, name: str = "layered.ideal-consistency") -> Check:
+@_law("layered.ideal-consistency", 500)
+def check_ideal_consistency(rng, _):
     """Membership in the ideal agrees with emptiness/infinitude of the S^m
     and with the order-type collapse at w^w."""
-    rng = _seeded(name)
-    for _ in range(samples):
-        a = random_layered(rng, cyclic_tails=True)
-        in_ideal = ls_in_ideal(a)
-        bound = len(a.prefix) + 5
-        empties = any(cs_is_empty(s_set_natset(a, m)) for m in range(bound))
-        infinites = all(cs_fubini_positive(s_set_natset(a, m)) for m in range(bound))
-        if in_ideal != empties:
-            return _fail(name, "ideal membership disagrees with empty level sets")
-        if (not in_ideal) != infinites:
-            return _fail(name, "positivity disagrees with infinite level sets")
-        if (ls_order_type(a) == OMEGA_OMEGA) == in_ideal:
-            return _fail(name, "order type does not mirror ideal membership")
-    return _ok(name)
+    a = random_layered(rng, cyclic_tails=True)
+    in_ideal = ls_in_ideal(a)
+    bound = len(a.prefix) + 5
+    empties = any(cs_is_empty(s_set_natset(a, m)) for m in range(bound))
+    infinites = all(cs_fubini_positive(s_set_natset(a, m)) for m in range(bound))
+    if in_ideal != empties:
+        return "ideal membership disagrees with empty level sets"
+    if (not in_ideal) != infinites:
+        return "positivity disagrees with infinite level sets"
+    if (ls_order_type(a) == OMEGA_OMEGA) == in_ideal:
+        return "order type does not mirror ideal membership"
 
 
-def check_ideal_inclusion(samples: int = 500, name: str = "layered.ideal-inclusion") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        a = random_layered(rng, cyclic_tails=True)
-        b = random_layered(rng, cyclic_tails=True)
-        diff = ls_diff(a, b)
-        bound = len(diff.prefix) + 2
-        witnessed = any(cs_is_empty(s_set_natset(diff, m)) for m in range(bound))
-        if ls_subset_ideal(a, b) != witnessed:
-            return _fail(name, "almost-inclusion disagrees with its witness")
-        if not ls_subset_ideal(a, ls_union(a, b)):
-            return _fail(name, "a set fails to almost-include into its union")
-    return _ok(name)
+@_law("layered.ideal-inclusion", 500)
+def check_ideal_inclusion(rng, _):
+    a = random_layered(rng, cyclic_tails=True)
+    b = random_layered(rng, cyclic_tails=True)
+    diff = ls_diff(a, b)
+    bound = len(diff.prefix) + 2
+    witnessed = any(cs_is_empty(s_set_natset(diff, m)) for m in range(bound))
+    if ls_subset_ideal(a, b) != witnessed:
+        return "almost-inclusion disagrees with its witness"
+    if not ls_subset_ideal(a, ls_union(a, b)):
+        return "a set fails to almost-include into its union"
 
 
 def random_fusion_instance(rng) -> Tuple[List[LayeredSet], Union[FinCof, CubeSet]]:
@@ -562,23 +538,22 @@ def random_fusion_instance(rng) -> Tuple[List[LayeredSet], Union[FinCof, CubeSet
     return sets, index
 
 
-def check_fusion_claims(samples: int = 100, name: str = "layered.fusion") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        sets, index = random_fusion_instance(rng)
-        inner = ls_fusion(sets[:-1], index)
-        outer = ls_fusion(sets, index)
-        if ls_in_ideal(inner) or ls_in_ideal(outer):
-            return _fail(name, "a fused set fell into the ideal")
-        if not ls_subset_ideal(outer, inner):
-            return _fail(name, "nested fusion is not almost-decreasing")
-    return _ok(name)
+@_law("layered.fusion", 100)
+def check_fusion_claims(rng, _):
+    sets, index = random_fusion_instance(rng)
+    inner = ls_fusion(sets[:-1], index)
+    outer = ls_fusion(sets, index)
+    if ls_in_ideal(inner) or ls_in_ideal(outer):
+        return "a fused set fell into the ideal"
+    if not ls_subset_ideal(outer, inner):
+        return "nested fusion is not almost-decreasing"
 
 
 # -- poset checks --------------------------------------------------------------------
 
 
-def check_sq_product_exhaustive(name: str = "posets.sq-product-small") -> Check:
+def check_sq_product_exhaustive() -> Check:
+    name = "posets.sq-product-small"
     small = []
     for n in (1, 2, 3):
         small.extend(all_preorders(n))
@@ -587,126 +562,113 @@ def check_sq_product_exhaustive(name: str = "posets.sq-product-small") -> Check:
             lhs = sep_quot(poset_product(p, q))
             rhs = poset_product(sep_quot(p), sep_quot(q))
             if poset_iso(lhs, rhs) is None:
-                return _fail(name, f"law fails at sizes {p.size} x {q.size}")
+                return Check(name, False, f"law fails at sizes {p.size} x {q.size}")
             if not is_separative(lhs):
-                return _fail(name, "a separative quotient is not separative")
-    return _ok(name)
+                return Check(name, False, "a separative quotient is not separative")
+    return Check(name, True)
 
 
-def check_sq_product_random(samples: int = 500, max_size: int = 5,
-                            name: str = "posets.sq-product-random") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        p = random_preorder(rng, rng.randint(1, max_size))
-        q = random_preorder(rng, rng.randint(1, max_size))
-        lhs = sep_quot(poset_product(p, q))
-        rhs = poset_product(sep_quot(p), sep_quot(q))
-        if poset_iso(lhs, rhs) is None:
-            return _fail(name, f"law fails at sizes {p.size} x {q.size}")
-    return _ok(name)
+@_law("posets.sq-product-random", 500)
+def check_sq_product_random(rng, _):
+    p = random_preorder(rng, rng.randint(1, 5))
+    q = random_preorder(rng, rng.randint(1, 5))
+    lhs = sep_quot(poset_product(p, q))
+    rhs = poset_product(sep_quot(p), sep_quot(q))
+    if poset_iso(lhs, rhs) is None:
+        return f"law fails at sizes {p.size} x {q.size}"
 
 
-def check_sq_soundness(samples: int = 200, name: str = "posets.sq-soundness") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        p = random_preorder(rng, rng.randint(1, 6))
-        sm = sep_mod(p)
-        if not (p.le <= sm.le).all():
-            return _fail(name, "the modification lost an inequality")
-        if sep_mod(sm) != sm:
-            return _fail(name, "the modification is not idempotent")
-        sq = sep_quot(p)
-        if not is_separative(sq):
-            return _fail(name, "a quotient is not separative")
-        if poset_iso(sep_quot(sq), sq) is None:
-            return _fail(name, "the quotient is not idempotent")
-    return _ok(name)
+@_law("posets.sq-soundness", 200)
+def check_sq_soundness(rng, _):
+    p = random_preorder(rng, rng.randint(1, 6))
+    sm = sep_mod(p)
+    if not (p.le <= sm.le).all():
+        return "the modification lost an inequality"
+    if sep_mod(sm) != sm:
+        return "the modification is not idempotent"
+    sq = sep_quot(p)
+    if not is_separative(sq):
+        return "a quotient is not separative"
+    if poset_iso(sep_quot(sq), sq) is None:
+        return "the quotient is not idempotent"
 
 
-def check_sq_respects_iso(samples: int = 200, name: str = "posets.sq-respects-iso") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        p = random_preorder(rng, rng.randint(1, 6))
-        perm = list(range(p.size))
-        rng.shuffle(perm)
-        le = p.le[perm][:, perm]
-        q = FinPoset(le)
-        if poset_iso(sep_quot(p), sep_quot(q)) is None:
-            return _fail(name, "isomorphic inputs with non-isomorphic quotients")
-    return _ok(name)
+@_law("posets.sq-respects-iso", 200)
+def check_sq_respects_iso(rng, _):
+    p = random_preorder(rng, rng.randint(1, 6))
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    q = FinPoset(p.le[perm][:, perm])
+    if poset_iso(sep_quot(p), sep_quot(q)) is None:
+        return "isomorphic inputs with non-isomorphic quotients"
 
 
 # -- factorizer checks -----------------------------------------------------------------
 
 
-def check_factorizer_goldens(name: str = "factorizer.goldens") -> Check:
+def check_factorizer_goldens() -> Check:
+    name = "factorizer.goldens"
     base = PositivePart(QuotientAlgebra(ONE))
     for n in range(1, 7):
         expected = base if n == 1 else Power(base, n)
         if factorize(ord_mul(OMEGA, n)) != expected:
-            return _fail(name, f"w*{n} did not factor into the {n}-th power")
+            return Check(name, False, f"w*{n} did not factor into the {n}-th power")
     for n in range(1, 6):
         core = QuotientAlgebra(ONE) if n == 1 else ReducedPowerIter(QuotientAlgebra(ONE), n - 1)
         if factorize(omega_power(n)) != PositivePart(core):
-            return _fail(name, f"w^{n} did not factor into depth {n - 1}")
-    return _ok(name)
+            return Check(name, False, f"w^{n} did not factor into depth {n - 1}")
+    return Check(name, True)
 
 
-def check_tail_drop(samples: int = 200, name: str = "factorizer.tail-drop") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        alpha = random_alpha_below_w_w2(rng)
-        k = rng.randint(0, 19)
-        if factorize(ord_add(alpha, k)) != factorize(alpha):
-            return _fail(name, f"finite tail {k} changed the factorization of {alpha}")
-    return _ok(name)
+@_law("factorizer.tail-drop", 200)
+def check_tail_drop(rng, _):
+    alpha = random_alpha_below_w_w2(rng)
+    k = rng.randint(0, 19)
+    if factorize(ord_add(alpha, k)) != factorize(alpha):
+        return f"finite tail {k} changed the factorization of {alpha}"
 
 
-def check_factor_invariants(samples: int = 1000, name: str = "factorizer.invariants") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        alpha = random_alpha_below_w_w2(rng)
-        expr = factorize(alpha)
-        factors = expr.factors if isinstance(expr, Product) else (expr,)
-        last_key = None
-        for factor in factors:
-            power = 1
-            if isinstance(factor, Power):
-                power = factor.exponent
-                factor = factor.inner
-            if power < 1:
-                return _fail(name, "a factor carries a non-positive power")
-            if not isinstance(factor, PositivePart):
-                return _fail(name, "a factor is not a positive part")
-            core = factor.inner
-            depth = 0
-            if isinstance(core, ReducedPowerIter):
-                depth = core.depth
-                core = core.inner
-                if depth < 1:
-                    return _fail(name, "a canonical factor kept rp^0")
-            if not isinstance(core, QuotientAlgebra):
-                return _fail(name, "a factor core is not a quotient algebra")
-            if not (core.gamma == ONE or core.gamma.is_limit()):
-                return _fail(name, "a quotient base is neither a limit nor 1")
-            key = ord_add(core.gamma, depth)
-            if last_key is not None and ord_cmp(last_key, key) != GT:
-                return _fail(name, f"factors of {alpha} are not strictly decreasing")
-            last_key = key
-    return _ok(name)
+@_law("factorizer.invariants", 1000)
+def check_factor_invariants(rng, _):
+    alpha = random_alpha_below_w_w2(rng)
+    expr = factorize(alpha)
+    factors = expr.factors if isinstance(expr, Product) else (expr,)
+    last_key = None
+    for factor in factors:
+        power = 1
+        if isinstance(factor, Power):
+            power = factor.exponent
+            factor = factor.inner
+        if power < 1:
+            return "a factor carries a non-positive power"
+        if not isinstance(factor, PositivePart):
+            return "a factor is not a positive part"
+        core = factor.inner
+        depth = 0
+        if isinstance(core, ReducedPowerIter):
+            depth = core.depth
+            core = core.inner
+            if depth < 1:
+                return "a canonical factor kept rp^0"
+        if not isinstance(core, QuotientAlgebra):
+            return "a factor core is not a quotient algebra"
+        if not (core.gamma == ONE or core.gamma.is_limit()):
+            return "a quotient base is neither a limit nor 1"
+        key = ord_add(core.gamma, depth)
+        if last_key is not None and ord_cmp(last_key, key) != GT:
+            return f"factors of {alpha} are not strictly decreasing"
+        last_key = key
 
 
-def check_render_roundtrip(samples: int = 200, name: str = "factorizer.render-roundtrip") -> Check:
-    rng = _seeded(name)
-    for _ in range(samples):
-        alpha = random_alpha_below_w_w2(rng)
-        expr = factorize(alpha)
-        if parse_expr(render_expr(expr)) != expr:
-            return _fail(name, f"text round trip failed for {alpha}")
-        tower = iteration_form(alpha)
-        if parse_expr(render_expr(tower)) != tower:
-            return _fail(name, f"iteration round trip failed for {alpha}")
-    return _ok(name)
+@_law("factorizer.render-roundtrip", 200)
+def check_render_roundtrip(rng, _):
+    alpha = random_alpha_below_w_w2(rng)
+    expr = factorize(alpha)
+    if parse_expr(render_expr(expr)) != expr:
+        return f"text round trip failed for {alpha}"
+    tower = iteration_form(alpha)
+    if parse_expr(render_expr(tower)) != tower:
+        return f"iteration round trip failed for {alpha}"
 
 
 # -- suites ------------------------------------------------------------------------------

@@ -45,17 +45,17 @@ def _timed(fn):
 
 
 def test_criterion_01_oracle_agreement():
-    result, elapsed = _timed(lambda: check_oracle_agreement(per_dim=1000, dims=(1, 2, 3)))
+    result, elapsed = _timed(lambda: check_oracle_agreement(samples=3000))
     _report("criterion 1: positivity and order type decide the same ideal", [result], elapsed, 10.0)
 
 
 def test_criterion_02_indivisibility():
-    result = check_indivisibility(per_dim=1000, dims=(1, 2, 3))
+    result = check_indivisibility(samples=3000)
     _report("criterion 2: a set or its complement is always a copy", [result])
 
 
 def test_criterion_03_arithmetic_vs_lex_model():
-    result, elapsed = _timed(lambda: check_arithmetic_vs_lex(max_coeff=3))
+    result, elapsed = _timed(lambda: check_arithmetic_vs_lex())
     _report("criterion 3: sums/products match explicit lex constructions", [result], elapsed, 30.0)
 
 
@@ -66,7 +66,7 @@ def test_criterion_04_cofinal_sum_law():
 
 def test_criterion_05_level_set_lemmas():
     checks = [
-        check_level_set_laws(samples=500, m_max=8),
+        check_level_set_laws(samples=500),
         check_ideal_consistency(samples=500),
         check_ideal_inclusion(samples=500),
     ]
@@ -82,7 +82,7 @@ def test_criterion_07_separative_quotient_product_law():
     def both():
         return [
             check_sq_product_exhaustive(),
-            check_sq_product_random(samples=500, max_size=5),
+            check_sq_product_random(samples=500),
             check_sq_soundness(samples=200),
         ]
 

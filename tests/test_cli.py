@@ -83,6 +83,12 @@ class TestSetCommands:
         path = write(tmp_path, "bad.json", "{not json")
         assert run(["set", "type", "--file", path]).exit_code == 2
 
+    def test_boolean_dim_exits_2(self, tmp_path):
+        path = write_json(tmp_path, "bool_dim.json", {"dim": True, "prefix": [], "cycle": [1]})
+        result = run(["set", "type", "--file", path])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: dim must be a positive integer, got True\n"
+
     def test_missing_file_exits_2(self):
         result = run(["set", "type", "--file", "/nonexistent.json"])
         assert result.exit_code == 2
@@ -154,6 +160,21 @@ class TestLayerCommands:
             out = write(tmp_path, f"out{k}.json", fused.stdout)
             result = run(["layer", "type", "--file", out])
             assert result.exit_code == 0, result.stderr
+
+    def test_unhashable_exception_exits_2(self, tmp_path):
+        full = write_json(tmp_path, "full.json", layered_to_json(LayeredSet.full()))
+        for exceptions in ([[1]], [{"a": 1}]):
+            index = write_json(tmp_path, "s.json", {"kind": "cofinite", "exceptions": exceptions})
+            result = run(["layer", "fusion", "--file", full, "--s", index])
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr == f"error: exceptions must be naturals, got {exceptions[0]!r}\n"
+
+    def test_tail_outside_the_schema_exits_2(self, tmp_path):
+        for tail in (5, None, 1.5, True, [True], [], [["full"]]):
+            path = write_json(tmp_path, "a.json", {"prefix": [], "tail": tail})
+            result = run(["layer", "type", "--file", path])
+            assert (result.exit_code, result.stdout) == (2, ""), tail
+            assert result.stderr == "error: tail must be empty/full or a pattern of them\n"
 
     def test_fusion_precondition_exits_1(self, tmp_path):
         full = write_json(tmp_path, "full.json", layered_to_json(LayeredSet.full()))
