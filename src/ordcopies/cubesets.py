@@ -6,6 +6,15 @@ eventually periodic stream of dimension-(n-1) cube sets, given by a finite
 ``i < len(prefix)`` and ``cycle[(i - len(prefix)) % len(cycle)]`` beyond.
 A dimension-0 cube set is a single bit (the one-point order is in or out).
 
+A dimension-1 set, a subset of w, is four ints instead: a prefix mask, the
+prefix length, a cycle mask and the cycle length, where bit ``i`` of a mask
+is column ``i`` of its part.  Boolean operations are bitwise, cycles are
+aligned by multiplying with a repunit, and order type, Fubini positivity,
+membership, selection and rank are bit counts.  Its ``prefix`` and
+``cycle`` are computed leaf tuples, built on each access and never stored.
+Dimension-1 sets are interned in a bounded table, so a working set that
+recurs holds one object per canonical form.
+
 The class is closed under Boolean operations and supports exact queries:
 lexicographic order type, membership in the n-fold Fubini power of the
 finite ideal, canonical enumeration, and copy detection.  Construction
@@ -13,9 +22,11 @@ canonicalizes (minimal cycle, shortest prefix), so structural equality is
 semantic equality and hashing is consistent.
 
 The (prefix, cycle) stream helpers below (``_canonical``, ``_column`` and
-``_zip``) are the one implementation of that stream algebra.  The layered
-sets of :mod:`ordcopies.layered` reuse them for their column streams, so
-layered Boolean results are canonical in the same sense.
+``_zip``) are the one implementation of that stream algebra for streams of
+objects; ``_mask_canonical`` and ``_unroll`` are its form for bits.  The
+layered sets of :mod:`ordcopies.layered` reuse the first for their column
+streams and keep their index sets as dimension-1 cube sets, so layered
+results are canonical in the same sense.
 
 JSON schema: ``{"dim": n, "prefix": [child...], "cycle": [child...]}`` with
 dimension-0 children serialized as ``0``/``1``.  Points are arrays of
@@ -26,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Sequence, Tuple
 
 from . import config
@@ -35,6 +46,7 @@ from .ordinals import (
     EQ,
     GT,
     LT,
+    OMEGA,
     ONE,
     ZERO,
     Ordinal,
@@ -52,11 +64,18 @@ Point = Tuple[int, ...]
 # -- eventually periodic streams: a finite prefix, then a cycle forever --------
 
 
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> Tuple[int, ...]:
+    """The proper divisors of n, ascending: the candidate periods of a
+    cycle of length n."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return tuple(sorted({*small, *(n // d for d in small)} - {n}))
+
+
 def _canonical(prefix, cycle):
     """Minimal cycle, then shortest prefix, of the same stream."""
-    n = len(cycle)
-    for period in range(1, n):
-        if n % period == 0 and cycle[period:] == cycle[:-period]:
+    for period in _divisors(len(cycle)):
+        if cycle[period:] == cycle[:-period]:
             cycle = cycle[:period]
             break
     prefix = list(prefix)
@@ -83,23 +102,97 @@ def _zip(prefix_a, cycle_a, prefix_b, cycle_b, op):
     return cols[:explicit], cols[explicit:]
 
 
-class CubeSet:
-    """An eventually periodic subset of w^dim.  Immutable and canonical."""
+# -- the same streams over bits, as int masks (bit i is column i) --------------
 
-    __slots__ = ("dim", "bit", "prefix", "cycle", "_hash")
+
+def _ones(n: int) -> int:
+    return (1 << n) - 1
+
+
+def _mask(bits: Sequence) -> int:
+    """The mask whose bit i is the truth of ``bits[i]``, in linear time."""
+    return int("".join("1" if b else "0" for b in reversed(bits)) or "0", 2)
+
+
+def _bits(mask: int, n: int) -> str:
+    """The low ``n`` bits of ``mask`` as a string of 0s and 1s, bit 0 first."""
+    return bin(mask | 1 << n)[:2:-1]
+
+
+def _repeat(mask: int, width: int, total: int) -> int:
+    """The ``width``-bit ``mask`` repeated over ``total`` bits: a product
+    with the repunit (2^(width*k) - 1) / (2^width - 1), then truncated."""
+    k = -(-total // width)
+    return mask * (_ones(width * k) // _ones(width)) & _ones(total)
+
+
+def _mask_canonical(pmask, plen, cmask, clen):
+    """``_canonical`` for a stream of bits."""
+    for period in _divisors(clen):
+        if cmask >> period == cmask & _ones(clen - period):
+            cmask &= _ones(period)
+            clen = period
+            break
+    # The cycle run backwards from column plen; the prefix columns past the
+    # highest one that differs from it join the cycle, which turns by as many.
+    shift = -plen % clen
+    behind = _repeat(cmask, clen, plen + shift) >> shift
+    keep = (pmask ^ behind).bit_length()
+    turn = (plen - keep) % clen
+    cmask = (cmask << turn | cmask >> (clen - turn)) & _ones(clen)
+    return pmask & _ones(keep), keep, cmask, clen
+
+
+def _unroll(a: "CubeSet", explicit: int, period: int) -> Tuple[int, int]:
+    """The dimension-1 set ``a`` as an ``explicit``-bit prefix mask and a
+    ``period``-bit cycle mask; ``period`` is a multiple of its cycle length."""
+    stream = a._prefix | _repeat(a._cycle, a._clen, explicit + period - a._plen) << a._plen
+    return stream & _ones(explicit), stream >> explicit
+
+
+def _nth_bit(mask: int, n: int) -> int:
+    """The position of the n-th set bit of ``mask``, counting from 0."""
+    lo, hi = 0, mask.bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (mask & _ones(mid)).bit_count() > n:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _leaf_mask(leaves: Sequence["CubeSet"]) -> int:
+    return _mask([leaf.bit for leaf in leaves])
+
+
+class CubeSet:
+    """An eventually periodic subset of w^dim.  Immutable and canonical.
+
+    ``_prefix``/``_cycle`` hold the child tuples, or the masks at dimension
+    1; ``_plen``/``_clen`` are their lengths.
+    """
+
+    __slots__ = ("dim", "bit", "_prefix", "_plen", "_cycle", "_clen")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use CubeSet.leaf or CubeSet.node")
 
     @classmethod
-    def _raw(cls, dim, bit, prefix, cycle) -> "CubeSet":
+    def _raw(cls, dim, bit, prefix, plen, cycle, clen) -> "CubeSet":
         self = object.__new__(cls)
         self.dim = dim
         self.bit = bit
-        self.prefix = prefix
-        self.cycle = cycle
-        self._hash = None
+        self._prefix = prefix
+        self._plen = plen
+        self._cycle = cycle
+        self._clen = clen
         return self
+
+    @classmethod
+    def _masks(cls, pmask: int, plen: int, cmask: int, clen: int) -> "CubeSet":
+        """The dimension-1 set with these masks (clen >= 1), canonicalized."""
+        return _interned(*_mask_canonical(pmask, plen, cmask, clen))
 
     @classmethod
     def leaf(cls, bit) -> "CubeSet":
@@ -111,21 +204,38 @@ class CubeSet:
         cycle = tuple(cycle)
         if not cycle:
             raise SchemaError("cycle must be nonempty")
-        child_dim = cycle[0].dim
-        for child in prefix + cycle:
-            if not isinstance(child, CubeSet):
-                raise SchemaError("cube-set children must be cube sets")
-            if child.dim != child_dim:
-                raise DimensionError("all children must share a dimension")
-        dim = child_dim + 1
+        if not all(isinstance(child, CubeSet) for child in prefix + cycle):
+            raise SchemaError("cube-set children must be cube sets")
+        if any(child.dim != cycle[0].dim for child in prefix + cycle):
+            raise DimensionError("all children must share a dimension")
+        dim = cycle[0].dim + 1
         if dim > config.dim_cap():
             raise CapError(f"dimension {dim} exceeds the cap {config.dim_cap()}")
-        return cls._raw(dim, None, *_canonical(prefix, cycle))
+        if dim == 1:
+            return cls._masks(_leaf_mask(prefix), len(prefix), _leaf_mask(cycle), len(cycle))
+        prefix, cycle = _canonical(prefix, cycle)
+        return cls._raw(dim, None, prefix, len(prefix), cycle, len(cycle))
+
+    @property
+    def prefix(self) -> Tuple["CubeSet", ...]:
+        if self.dim == 1:
+            return _leaves(self._prefix, self._plen)
+        return self._prefix
+
+    @property
+    def cycle(self) -> Tuple["CubeSet", ...]:
+        if self.dim == 1:
+            return _leaves(self._cycle, self._clen)
+        return self._cycle
 
     def column(self, i: int) -> "CubeSet":
         if self.dim == 0:
             raise DimensionError("a dimension-0 set has no columns")
-        return _column(self.prefix, self.cycle, i)
+        if self.dim == 1:
+            if i < self._plen:
+                return CubeSet.leaf(self._prefix >> i & 1)
+            return CubeSet.leaf(self._cycle >> (i - self._plen) % self._clen & 1)
+        return _column(self._prefix, self._cycle, i)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CubeSet):
@@ -135,19 +245,19 @@ class CubeSet:
         return (
             self.dim == other.dim
             and self.bit == other.bit
-            and self.prefix == other.prefix
-            and self.cycle == other.cycle
+            and self._plen == other._plen
+            and self._clen == other._clen
+            and self._prefix == other._prefix
+            and self._cycle == other._cycle
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.dim, self.bit, self.prefix, self.cycle))
-        return self._hash
+        return hash((self.dim, self.bit, self._prefix, self._plen, self._cycle, self._clen))
 
     def __repr__(self) -> str:
         if self.dim == 0:
             return f"CubeSet.leaf({int(self.bit)})"
-        return f"<CubeSet dim={self.dim} prefix={len(self.prefix)} cycle={len(self.cycle)}>"
+        return f"<CubeSet dim={self.dim} prefix={self._plen} cycle={self._clen}>"
 
     def __or__(self, other):
         return cs_union(self, other)
@@ -162,14 +272,26 @@ class CubeSet:
         return cs_complement(self)
 
 
-_LEAF_FALSE = CubeSet._raw(0, False, (), ())
-_LEAF_TRUE = CubeSet._raw(0, True, (), ())
+@lru_cache(maxsize=4096)
+def _interned(pmask: int, plen: int, cmask: int, clen: int) -> CubeSet:
+    """The one live dimension-1 set per recent canonical form."""
+    return CubeSet._raw(1, None, pmask, plen, cmask, clen)
+
+
+_LEAF_FALSE = CubeSet._raw(0, False, (), 0, (), 0)
+_LEAF_TRUE = CubeSet._raw(0, True, (), 0, (), 0)
+
+
+def _leaves(mask: int, n: int) -> Tuple[CubeSet, ...]:
+    return tuple(CubeSet.leaf(d == "1") for d in _bits(mask, n))
 
 
 @lru_cache(maxsize=None)
 def cs_empty(dim: int) -> CubeSet:
     if dim == 0:
         return _LEAF_FALSE
+    if dim == 1:
+        return CubeSet._masks(0, 0, 0, 1)
     return CubeSet.node((), (cs_empty(dim - 1),))
 
 
@@ -177,6 +299,8 @@ def cs_empty(dim: int) -> CubeSet:
 def cs_full(dim: int) -> CubeSet:
     if dim == 0:
         return _LEAF_TRUE
+    if dim == 1:
+        return CubeSet._masks(0, 0, 1, 1)
     return CubeSet.node((), (cs_full(dim - 1),))
 
 
@@ -213,19 +337,26 @@ def _same_dim(a: CubeSet, b: CubeSet) -> None:
 
 
 def _lift(bit_op):
-    """The cube-set operation that applies ``bit_op`` point by point."""
+    """The cube-set operation that applies ``bit_op`` point by point;
+    ``bit_op`` is bitwise, so at dimension 1 it applies to the masks."""
 
     def op(a: CubeSet, b: CubeSet) -> CubeSet:
         _same_dim(a, b)
         if a.dim == 0:
             return CubeSet.leaf(bit_op(a.bit, b.bit))
-        return CubeSet.node(*_zip(a.prefix, a.cycle, b.prefix, b.cycle, op))
+        if a.dim == 1:
+            explicit = max(a._plen, b._plen)
+            period = lcm(a._clen, b._clen)
+            (pa, ca), (pb, cb) = _unroll(a, explicit, period), _unroll(b, explicit, period)
+            return CubeSet._masks(bit_op(pa, pb), explicit, bit_op(ca, cb), period)
+        return CubeSet.node(*_zip(a._prefix, a._cycle, b._prefix, b._cycle, op))
 
     return op
 
 
-def _and_not(x: bool, y: bool) -> bool:
-    return x and not y
+def _and_not(x, y):
+    """x and not y, bitwise; bools stay bools and masks stay nonnegative."""
+    return x & (x ^ y)
 
 
 cs_union = _lift(operator.or_)
@@ -236,8 +367,11 @@ cs_diff = _lift(_and_not)
 def cs_complement(a: CubeSet) -> CubeSet:
     if a.dim == 0:
         return CubeSet.leaf(not a.bit)
+    if a.dim == 1:
+        # Complementing every bit keeps the stream canonical.
+        return _interned(a._prefix ^ _ones(a._plen), a._plen, a._cycle ^ _ones(a._clen), a._clen)
     return CubeSet.node(
-        (cs_complement(c) for c in a.prefix), (cs_complement(c) for c in a.cycle)
+        (cs_complement(c) for c in a._prefix), (cs_complement(c) for c in a._cycle)
     )
 
 
@@ -261,12 +395,15 @@ def cs_order_type(a: CubeSet) -> Ordinal:
 
     Column types are summed in order.  The periodic part contributes the
     limit of repeated block sums: for block sum c > 0 with leading exponent
-    e this is w^(e+1).
+    e this is w^(e+1).  At dimension 1 that is w for a nonempty cycle and
+    the number of members otherwise.
     """
     if a.dim == 0:
         return ONE if a.bit else ZERO
+    if a.dim == 1:
+        return OMEGA if a._cycle else Ordinal(a._prefix.bit_count())
     total = ZERO
-    for col in a.prefix:
+    for col in a._prefix:
         total = ord_add(total, cs_order_type(col))
     block = _block_type(a)
     if block.is_zero():
@@ -285,12 +422,14 @@ def cs_fubini_positive(a: CubeSet) -> bool:
     """
     if a.dim == 0:
         return bool(a.bit)
-    return any(cs_fubini_positive(col) for col in a.cycle)
+    if a.dim == 1:
+        return a._cycle != 0
+    return any(cs_fubini_positive(col) for col in a._cycle)
 
 
 def _block_type(a: CubeSet) -> Ordinal:
     block = ZERO
-    for col in a.cycle:
+    for col in a._cycle:
         block = ord_add(block, cs_order_type(col))
     return block
 
@@ -315,7 +454,14 @@ def _whole_blocks(block: Ordinal, xi: Ordinal) -> int:
 def _select(a: CubeSet, xi: Ordinal) -> Point:
     if a.dim == 0:
         return ()
-    for i, col in enumerate(a.prefix):
+    if a.dim == 1:
+        n = int(xi)
+        before = a._prefix.bit_count()
+        if n < before:
+            return (_nth_bit(a._prefix, n),)
+        whole, n = divmod(n - before, a._cycle.bit_count())
+        return (a._plen + whole * a._clen + _nth_bit(a._cycle, n),)
+    for i, col in enumerate(a._prefix):
         t = cs_order_type(col)
         if ord_cmp(xi, t) == LT:
             return (i,) + _select(col, xi)
@@ -323,8 +469,8 @@ def _select(a: CubeSet, xi: Ordinal) -> Point:
     block = _block_type(a)
     skipped = _whole_blocks(block, xi)
     xi = left_difference(ord_mul(block, skipped), xi)
-    base = len(a.prefix) + skipped * len(a.cycle)
-    for j, col in enumerate(a.cycle):
+    base = a._plen + skipped * a._clen
+    for j, col in enumerate(a._cycle):
         t = cs_order_type(col)
         if ord_cmp(xi, t) == LT:
             return (base + j,) + _select(col, xi)
@@ -356,15 +502,21 @@ def _rank(a: CubeSet, point: Point) -> Ordinal:
     if a.dim == 0:
         return ZERO
     i = point[0]
-    explicit = len(a.prefix)
+    if a.dim == 1:
+        if i < a._plen:
+            return Ordinal((a._prefix & _ones(i)).bit_count())
+        whole, partial = divmod(i - a._plen, a._clen)
+        before = a._prefix.bit_count() + whole * a._cycle.bit_count()
+        return Ordinal(before + (a._cycle & _ones(partial)).bit_count())
+    explicit = a._plen
     total = ZERO
-    for col in a.prefix[: min(i, explicit)]:
+    for col in a._prefix[: min(i, explicit)]:
         total = ord_add(total, cs_order_type(col))
     if i > explicit:
-        whole, partial = divmod(i - explicit, len(a.cycle))
+        whole, partial = divmod(i - explicit, a._clen)
         total = ord_add(total, ord_mul(_block_type(a), whole))
         for j in range(partial):
-            total = ord_add(total, cs_order_type(a.cycle[j]))
+            total = ord_add(total, cs_order_type(a._cycle[j]))
     return ord_add(total, _rank(a.column(i), point[1:]))
 
 
@@ -402,6 +554,8 @@ def initial_segment(n: int, alpha: OrdinalLike) -> CubeSet:
         return CubeSet.leaf(alpha == ONE)
     if cmp_full == EQ:
         return cs_full(n)
+    if n == 1:
+        return CubeSet._masks(_ones(int(alpha)), int(alpha), 0, 1)
     whole = 0
     rest = alpha
     if alpha.terms and alpha.terms[0][0] == Ordinal(n - 1):
@@ -444,11 +598,28 @@ def cs_product(a: CubeSet, b: CubeSet) -> CubeSet:
 def cube_to_json(a: CubeSet):
     if a.dim == 0:
         return int(a.bit)
+    if a.dim == 1:
+        return {
+            "dim": 1,
+            "prefix": list(map(int, _bits(a._prefix, a._plen))),
+            "cycle": list(map(int, _bits(a._cycle, a._clen))),
+        }
     return {
         "dim": a.dim,
-        "prefix": [cube_to_json(c) for c in a.prefix],
-        "cycle": [cube_to_json(c) for c in a.cycle],
+        "prefix": [cube_to_json(c) for c in a._prefix],
+        "cycle": [cube_to_json(c) for c in a._cycle],
     }
+
+
+def _json_mask(items: list):
+    """The mask of a list of dimension-0 children, or None when one is not
+    a plain integer (then each child is read on its own)."""
+    if not all(type(c) is int for c in items):
+        return None
+    for c in items:
+        if c not in (0, 1):
+            raise SchemaError(f"dimension-0 sets are 0 or 1, got {c}")
+    return _mask(items)
 
 
 def cube_from_json(obj) -> CubeSet:
@@ -470,9 +641,14 @@ def cube_from_json(obj) -> CubeSet:
         raise SchemaError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(prefix, list) or not isinstance(cycle, list):
         raise SchemaError("prefix and cycle must be arrays")
-    result = CubeSet.node(
-        (cube_from_json(c) for c in prefix), (cube_from_json(c) for c in cycle)
-    )
+    pmask = _json_mask(prefix)
+    cmask = None if pmask is None else _json_mask(cycle)
+    if cmask is None:
+        result = CubeSet.node(map(cube_from_json, prefix), map(cube_from_json, cycle))
+    elif not cycle:
+        raise SchemaError("cycle must be nonempty")
+    else:
+        result = CubeSet._masks(pmask, len(prefix), cmask, len(cycle))
     if result.dim != dim:
         raise DimensionError(f"declared dim {dim} but children have dim {result.dim - 1}")
     return result

@@ -43,9 +43,12 @@ from .errors import (
 from .cubesets import (
     CubeSet,
     _and_not,
+    _bits,
     _canonical,
     _column,
     _lift,
+    _mask,
+    _ones,
     _zip,
     cs_complement,
     cs_diff,
@@ -54,6 +57,7 @@ from .cubesets import (
     cs_is_empty,
     cs_is_full,
     cs_order_type,
+    cs_union,
     cube_from_json,
     cube_to_json,
 )
@@ -111,33 +115,33 @@ class FinCof:
         return FinCof(other, self.exceptions)
 
     def union(self, other: "FinCof") -> "FinCof":
-        if self.kind == "finite" and other.kind == "finite":
-            return FinCof.finite(self.exceptions | other.exceptions)
-        if self.kind == "cofinite" and other.kind == "cofinite":
-            return FinCof.cofinite(self.exceptions & other.exceptions)
-        fin, cof = (self, other) if self.kind == "finite" else (other, self)
-        return FinCof.cofinite(cof.exceptions - fin.exceptions)
+        return natset_to_fincof(cs_union(self.to_natset(), other.to_natset()))
 
     def inter(self, other: "FinCof") -> "FinCof":
-        return self.complement().union(other.complement()).complement()
+        return natset_to_fincof(cs_inter(self.to_natset(), other.to_natset()))
 
     def diff(self, other: "FinCof") -> "FinCof":
-        return self.inter(other.complement())
+        return natset_to_fincof(cs_diff(self.to_natset(), other.to_natset()))
 
     def subset(self, other: "FinCof") -> bool:
-        return self.diff(other).is_empty()
+        return cs_is_empty(cs_diff(self.to_natset(), other.to_natset()))
 
     def subset_star(self, other: "FinCof") -> bool:
         """Almost-inclusion: the difference is finite."""
-        return self.diff(other).is_finite()
+        return not cs_fubini_positive(cs_diff(self.to_natset(), other.to_natset()))
 
     def minus_initial(self, m: int) -> "FinCof":
-        return self.diff(FinCof.finite(range(m)))
+        return natset_to_fincof(cs_diff(self.to_natset(), _below(m)))
 
     def to_natset(self) -> CubeSet:
         bound = max(self.exceptions, default=-1) + 1
-        bits = [n in self for n in range(bound)]
-        return natset(bits, (self.kind == "cofinite",))
+        listed = bytearray(-(-bound // 8))
+        for n in self.exceptions:
+            listed[n >> 3] |= 1 << (n & 7)
+        mask = int.from_bytes(listed, "little")
+        if self.kind == "finite":
+            return CubeSet._masks(mask, bound, 0, 1)
+        return CubeSet._masks(_ones(bound) ^ mask, bound, 1, 1)
 
     def to_json(self):
         return {"kind": self.kind, "exceptions": sorted(self.exceptions)}
@@ -156,10 +160,20 @@ class FinCof:
 
 def natset(prefix_bits: Iterable[bool], cycle_bits: Iterable[bool] = (False,)) -> CubeSet:
     """Build a dimension-1 cube set from bit patterns."""
-    return CubeSet.node(
-        (CubeSet.leaf(b) for b in prefix_bits),
-        (CubeSet.leaf(b) for b in cycle_bits),
-    )
+    prefix_bits, cycle_bits = tuple(prefix_bits), tuple(cycle_bits)
+    if not cycle_bits:
+        raise SchemaError("cycle must be nonempty")
+    return CubeSet._masks(_mask(prefix_bits), len(prefix_bits), _mask(cycle_bits), len(cycle_bits))
+
+
+def _below(m: int) -> CubeSet:
+    """The naturals below m."""
+    return CubeSet._masks(_ones(m), m, 0, 1)
+
+
+def _members(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [i for i, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
 
 
 def as_natset(s: Union[FinCof, CubeSet]) -> CubeSet:
@@ -174,15 +188,19 @@ def as_natset(s: Union[FinCof, CubeSet]) -> CubeSet:
 
 def natset_to_fincof(s: CubeSet) -> Optional[FinCof]:
     """Exact conversion when the set is finite or cofinite, else None."""
-    bits = [bool(c.bit) for c in s.cycle]
-    if not any(bits):
-        return FinCof.finite(i for i, c in enumerate(s.prefix) if c.bit)
-    if all(bits):
-        return FinCof.cofinite(i for i, c in enumerate(s.prefix) if not c.bit)
+    if s._cycle == 0:
+        return FinCof.finite(_members(s._prefix))
+    if s._cycle == _ones(s._clen):
+        return FinCof.cofinite(_members(s._prefix ^ _ones(s._plen)))
     return None
 
 
 # -- layered sets --------------------------------------------------------------
+
+
+def _check_prefix_cap(length: int) -> None:
+    if length > config.prefix_cap():
+        raise CapError(f"prefix length {length} exceeds the cap {config.prefix_cap()}")
 
 
 def _as_flag(value) -> Optional[bool]:
@@ -207,8 +225,7 @@ class LayeredSet:
     def _raw(cls, prefix, tail) -> "LayeredSet":
         # Trusted constructor: the stream must already be canonical.  It is
         # where every layered value, input or result, meets the prefix cap.
-        if len(prefix) > config.prefix_cap():
-            raise CapError(f"prefix length {len(prefix)} exceeds the cap {config.prefix_cap()}")
+        _check_prefix_cap(len(prefix))
         self = object.__new__(cls)
         self.prefix = prefix
         self.tail = tail
@@ -330,16 +347,13 @@ def s_set_natset(a: LayeredSet, m: int) -> CubeSet:
     """Exact S^m as a dimension-1 cube set: columns of type >= w^(m+1)."""
     if m < 0:
         raise RangeError("the level must be a natural number")
-    explicit = max(len(a.prefix), m)
+    # A cube column n < m has type at most w^(n+1), below the threshold.
     threshold = omega_power(m + 1)
-    bits = []
-    for n in range(explicit + len(a.tail)):
-        col = a.column(n)
-        if isinstance(col, bool):
-            bits.append(col and n >= m)
-        else:
-            bits.append(ord_cmp(cs_order_type(col), threshold) != LT)
-    return natset(bits[:explicit], bits[explicit:])
+    bits = [
+        col if isinstance(col, bool) else n >= m and ord_cmp(cs_order_type(col), threshold) != LT
+        for n, col in enumerate(a.prefix)
+    ]
+    return cs_diff(natset(bits, a.tail), _below(m))
 
 
 def supp_natset(a: LayeredSet) -> CubeSet:
@@ -437,8 +451,10 @@ def ls_fusion(a_list: Sequence[LayeredSet], s: Union[FinCof, CubeSet]) -> Layere
                     n=n,
                 )
             surviving = cs_inter(surviving, s_m)
+    _check_prefix_cap(surviving._plen)
     as_flags = LayeredSet._raw(
-        tuple(c.bit for c in surviving.prefix), tuple(c.bit for c in surviving.cycle)
+        tuple(d == "1" for d in _bits(surviving._prefix, surviving._plen)),
+        tuple(d == "1" for d in _bits(surviving._cycle, surviving._clen)),
     )
     return ls_inter(a_list[r], as_flags)
 

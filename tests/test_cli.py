@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 from ordcopies import (
     cs_full,
@@ -145,6 +146,16 @@ class TestLayerCommands:
         result = run(["layer", "fusion", "--file", full, "--s", index])
         assert (result.exit_code, result.stdout) == (1, "")
         assert result.stderr == "error: prefix length 12 exceeds the cap 8\n"
+
+    def test_fusion_refuses_a_long_prefix_before_building_it(self, tmp_path):
+        full = write_json(tmp_path, "full.json", layered_to_json(LayeredSet.full()))
+        index = write_json(tmp_path, "s.json", {"kind": "cofinite", "exceptions": [2000000]})
+        start = time.process_time()
+        result = run(["layer", "fusion", "--file", full, "--s", index])
+        elapsed = time.process_time() - start
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "error: prefix length 2000001 exceeds the cap 8\n"
+        assert elapsed < 0.5
 
     def test_fusion_output_reads_back(self, tmp_path):
         rng = random.Random("fusion-round-trip")

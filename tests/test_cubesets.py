@@ -1,4 +1,7 @@
 import random
+import time
+from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from ordcopies import (
     cube_from_json,
     cube_to_json,
     initial_segment,
+    natset,
     omega_power,
     ord_mul,
     ord_to_point,
@@ -347,3 +351,106 @@ class TestJson:
         doc = {"dim": 3, "prefix": [], "cycle": [1]}
         with pytest.raises(DimensionError):
             cube_from_json(doc)
+
+
+# -- dimension-1 sets as masks, against plain bit lists -------------------------
+
+
+def leaf_canonical(prefix, cycle):
+    """The canonical form of a leaf stream, computed leaf by leaf as the
+    tuple representation did before subsets of w became masks."""
+    n = len(cycle)
+    for period in range(1, n):
+        if n % period == 0 and cycle[period:] == cycle[:-period]:
+            cycle = cycle[:period]
+            break
+    prefix = list(prefix)
+    while prefix and prefix[-1] == cycle[-1]:
+        prefix.pop()
+        cycle = cycle[-1:] + cycle[:-1]
+    return tuple(prefix), cycle
+
+
+def stream(prefix, cycle, n):
+    return [prefix[i] if i < len(prefix) else cycle[(i - len(prefix)) % len(cycle)] for i in range(n)]
+
+
+def columns(a, n):
+    return [bool(a.column(i).bit) for i in range(n)]
+
+
+bit_streams = st.tuples(
+    st.lists(st.booleans(), max_size=6), st.lists(st.booleans(), min_size=1, max_size=12)
+)
+
+
+class TestMasks:
+    @given(bit_streams, bit_streams)
+    @settings(max_examples=300, deadline=None)
+    def test_against_bit_lists(self, x, y):
+        a, b = natset(*x), natset(*y)
+        n = max(len(x[0]), len(y[0])) + 3 * lcm(len(x[1]), len(y[1]))
+        xs, ys = stream(*x, n), stream(*y, n)
+        assert columns(cs_union(a, b), n) == [p or q for p, q in zip(xs, ys)]
+        assert columns(cs_inter(a, b), n) == [p and q for p, q in zip(xs, ys)]
+        assert columns(a - b, n) == [p and not q for p, q in zip(xs, ys)]
+        assert columns(cs_complement(a), n) == [not p for p in xs]
+        assert [cs_member(a, (i,)) for i in range(n)] == xs
+        infinite = any(x[1])
+        assert cs_order_type(a) == (OMEGA if infinite else Ordinal(sum(x[0])))
+        assert cs_fubini_positive(a) == infinite
+        for k, i in enumerate(i for i in range(n) if xs[i]):
+            assert cs_select(a, k) == (i,)
+            assert cs_rank(a, (i,)) == Ordinal(k)
+
+    @given(bit_streams)
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_form_matches_the_leaf_stream(self, x):
+        leaves = tuple(map(bit, x[0])), tuple(map(bit, x[1]))
+        a = natset(*x)
+        assert (a.prefix, a.cycle) == leaf_canonical(*leaves)
+        assert CubeSet.node(*leaves) is a
+
+    def test_coprime_fold_builds_no_set_of_w_from_leaves(self, monkeypatch):
+        import ordcopies.cubesets as cubesets
+
+        built = []
+
+        def refuse_leaves(name):
+            inner = getattr(cubesets, name)
+
+            def checked(*streams):
+                for part in streams[:4]:
+                    assert not any(c.dim == 0 for c in part), f"{name} got leaves"
+                return inner(*streams)
+
+            monkeypatch.setattr(cubesets, name, checked)
+
+        refuse_leaves("_zip")
+        refuse_leaves("_canonical")
+        monkeypatch.setattr(cubesets, "_leaf_mask", lambda leaves: built.append(leaves))
+
+        def coprime(rng, dim, period):
+            if dim == 1:
+                bits = [1, 0] + [rng.randrange(2) for _ in range(period - 2)]
+                return {"dim": 1, "prefix": [], "cycle": bits}
+            cycle = [coprime(rng, dim - 1, period) for _ in range(period)]
+            cycle[1] = cube_to_json(cs_empty(dim - 1))
+            return {"dim": dim, "prefix": [], "cycle": cycle}
+
+        rng = random.Random("coprime")
+        sets = [cube_from_json(coprime(rng, 2, p)) for p in (2, 3, 5, 7)]
+        union = reduce(cs_union, sets)
+        assert len(union.cycle) == 210
+        assert cs_order_type(cs_complement(union)) == omega_power(2)
+        assert built == []
+
+    def test_long_prefix_is_absorbed_in_linear_time(self):
+        n = 10**6
+        start = time.process_time()
+        ones = natset([True] * n, (True,))
+        one_point = natset([True] + [False] * (n - 1), (False,))
+        elapsed = time.process_time() - start
+        assert ones == cs_full(1)
+        assert cs_order_type(one_point) == Ordinal(1) and len(one_point.prefix) == 1
+        assert elapsed < 0.5
