@@ -12,50 +12,12 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cubesets import (
-    cs_fubini_positive,
-    cs_is_copy,
-    cs_member,
-    cs_order_type,
-    cs_select,
-    cube_from_json,
-    cube_to_json,
-)
 from .errors import DomainError, InputFormatError
-from .forcing import factorize, iteration_form, render_expr
-from .layered import (
-    FinCof,
-    layered_from_json,
-    layered_to_json,
-    ls_fusion,
-    ls_in_ideal,
-    ls_order_type,
-    ls_s_set,
-    ls_subset_ideal,
-    ls_supp,
-)
-from .ordinals import (
-    EQ,
-    GT,
-    LT,
-    is_indecomposable,
-    ord_add,
-    ord_cmp,
-    ord_mul,
-    ord_pow,
-    parse_ordinal,
-    split_exponent,
-)
-from .posets import (
-    is_separative,
-    poset_from_text,
-    poset_iso,
-    poset_product,
-    poset_to_text,
-    sep_mod,
-    sep_quot,
-)
-from .verify import SUITES, run_suites
+
+# Each `_run_*` and `_load_*` imports the modules its command needs, so only
+# `poset` loads numpy and only `verify` loads the suites.  Their names are
+# therefore a static tuple, kept equal to sorted(verify.SUITES) by a test.
+SUITE_NAMES = ("cubesets", "factorizer", "layered", "ordinals", "posets")
 
 
 @dataclass
@@ -130,7 +92,7 @@ def _build_parser() -> _Parser:
     fact.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
     verify = commands.add_parser("verify", help="run the bundled property suites")
-    verify.add_argument("--suite", choices=sorted(SUITES), action="append")
+    verify.add_argument("--suite", choices=SUITE_NAMES, action="append")
 
     return parser
 
@@ -153,14 +115,21 @@ def _load_json(path: str):
 
 
 def _load_cube(path: str):
+    from .cubesets import cube_from_json
+
     return cube_from_json(_load_json(path))
 
 
 def _load_layered(path: str):
+    from .layered import layered_from_json
+
     return layered_from_json(_load_json(path))
 
 
 def _load_index_set(path: str):
+    from .cubesets import cube_from_json
+    from .layered import FinCof
+
     obj = _load_json(path)
     if isinstance(obj, dict) and obj.get("kind") in ("finite", "cofinite"):
         return FinCof.from_json(obj)
@@ -172,6 +141,19 @@ def _bool_text(value: bool) -> str:
 
 
 def _run_ord(args) -> str:
+    from .ordinals import (
+        EQ,
+        GT,
+        LT,
+        is_indecomposable,
+        ord_add,
+        ord_cmp,
+        ord_mul,
+        ord_pow,
+        parse_ordinal,
+        split_exponent,
+    )
+
     if args.op == "classify":
         a = parse_ordinal(args.a)
         if a.is_zero():
@@ -198,6 +180,9 @@ def _run_ord(args) -> str:
 
 
 def _run_set(args) -> str:
+    from .cubesets import cs_fubini_positive, cs_is_copy, cs_member, cs_order_type, cs_select
+    from .ordinals import parse_ordinal
+
     a = _load_cube(args.file)
     if args.op == "member":
         try:
@@ -220,6 +205,18 @@ def _run_set(args) -> str:
 
 
 def _run_layer(args) -> str:
+    from .cubesets import cube_to_json
+    from .layered import (
+        FinCof,
+        layered_to_json,
+        ls_fusion,
+        ls_in_ideal,
+        ls_order_type,
+        ls_s_set,
+        ls_subset_ideal,
+        ls_supp,
+    )
+
     if args.op == "fusion":
         sets = [_load_layered(path) for path in args.file]
         index = _load_index_set(args.index)
@@ -240,6 +237,16 @@ def _run_layer(args) -> str:
 
 
 def _run_poset(args) -> str:
+    from .posets import (
+        is_separative,
+        poset_from_text,
+        poset_iso,
+        poset_product,
+        poset_to_text,
+        sep_mod,
+        sep_quot,
+    )
+
     p = poset_from_text(_read(args.file))
     if args.op == "sm":
         return poset_to_text(sep_mod(p))
@@ -259,12 +266,17 @@ def _run_poset(args) -> str:
 
 
 def _run_factorize(args) -> str:
+    from .forcing import factorize, iteration_form, render_expr
+    from .ordinals import parse_ordinal
+
     alpha = parse_ordinal(args.alpha)
     expr = iteration_form(alpha) if args.iterate else factorize(alpha)
     return render_expr(expr, args.format) + "\n"
 
 
 def _run_verify(args) -> CommandResult:
+    from .verify import run_suites
+
     ok, lines = run_suites(args.suite)
     body = "\n".join(lines) + "\n"
     if ok:

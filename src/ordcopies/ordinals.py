@@ -13,11 +13,14 @@ The text grammar accepted by :func:`parse_ordinal` (and produced by ``str``):
     coeff   := positive decimal integer
 
 ``w^5`` abbreviates ``w^(5)``; whitespace is insignificant.  Input whose
-exponents are not strictly decreasing is rejected as non-canonical.
+exponents are not strictly decreasing is rejected as non-canonical.  Digits
+are ASCII ``0``-``9``, and a digit run longer than the interpreter's
+int-string limit (``sys.get_int_max_str_digits()``) is refused.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Tuple, Union
 
 from .errors import InputFormatError, OrdinalParseError, RangeError
@@ -345,6 +348,11 @@ def left_difference(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
 # -- parsing -----------------------------------------------------------------
 
 
+# The interpreter's own bound on decimal-to-int conversion (0 means none);
+# Python before 3.10.7 has no bound and no getter.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 class _Parser:
     """A recursive-descent scanner over ``text``; subclasses add grammars."""
 
@@ -383,12 +391,18 @@ class _Parser:
             raise self.error(f"expected {token!r}")
 
     def natural(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        """An ASCII digit run, no longer than the interpreter's int-string limit."""
+        text, start = self.text, self.pos
+        end = start
+        while end < len(text) and "0" <= text[end] <= "9":
+            end += 1
+        if end == start:
             raise self.error("expected a number")
-        return int(self.text[start : self.pos])
+        limit = _int_max_str_digits()
+        if limit and end - start > limit:
+            raise self.error(f"number has more than {limit} digits")
+        self.pos = end
+        return int(text[start:end])
 
     def ordinal(self) -> Ordinal:
         terms = []
@@ -418,7 +432,7 @@ class _Parser:
                 if self.literal("("):
                     exponent = self.ordinal()
                     self.expect(")")
-                elif self.peek().isdigit():
+                elif "0" <= self.peek() <= "9":
                     exponent = Ordinal(self.natural())
                 else:
                     raise self.error("expected '(' or digits after '^'")
@@ -432,7 +446,7 @@ class _Parser:
             if exponent.is_zero():
                 return ZERO, coeff
             return exponent, coeff
-        if self.peek().isdigit():
+        if "0" <= self.peek() <= "9":
             return ZERO, self.natural()
         raise self.error("expected a term")
 

@@ -1,6 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+
+import pytest
+
+import ordcopies
 
 from ordcopies import (
     cs_full,
@@ -14,6 +21,7 @@ from ordcopies import (
     antichain,
     poset_from_text,
 )
+from ordcopies import cli, verify
 from ordcopies.cli import run
 from ordcopies.verify import random_fusion_instance
 
@@ -50,6 +58,26 @@ class TestOrdCommands:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "error" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ord", "add", "\u00b2", "1"],  # SUPERSCRIPT TWO
+            ["ord", "add", "\u0663", "1"],  # ARABIC-INDIC DIGIT THREE, int() reads it as 3
+            pytest.param(
+                ["ord", "add", "w*" + "1" * 5000, "1"],
+                marks=pytest.mark.skipif(
+                    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="needs the default int-string limit",
+                ),
+            ),
+            ["factorize", "w^(\u00b2)"],
+        ],
+    )
+    def test_digits_outside_ascii_or_the_int_limit_exit_2(self, argv):
+        result = run(argv)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 class TestSetCommands:
@@ -253,6 +281,9 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self):
         assert run(["verify", "--suite", "nonsense"]).exit_code == 2
 
+    def test_suite_names_match_the_suites(self):
+        assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
 
 class TestDispatch:
     def test_unknown_command_exits_2(self):
@@ -270,3 +301,59 @@ class TestDispatch:
         outputs.append(run(["set", "type", "--file", path]).stdout)
         for text in outputs:
             parse_ordinal(text.strip())
+
+
+# A fresh interpreter runs one command and prints the modules it loaded.
+_FOOTPRINT = """
+import json, sys
+from ordcopies.cli import main
+status = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(status)
+"""
+
+
+def _loaded_modules(code, *argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ordcopies.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestImportFootprint:
+    """Each command loads only the modules it needs; only `poset` loads numpy."""
+
+    def test_bare_import_loads_no_submodule(self):
+        code = "import json, sys, ordcopies; print(json.dumps(sorted(sys.modules)))"
+        loaded = _loaded_modules(code)
+        assert "ordcopies" in loaded
+        assert not [name for name in loaded if name.startswith("ordcopies.")]
+        assert "numpy" not in loaded
+
+    @pytest.mark.parametrize(
+        "command, modules",
+        [
+            (["ord", "add", "w+1", "w"], {"ordinals"}),
+            (["factorize", "w^(2)"], {"ordinals", "forcing"}),
+            (["set", "type", "--file", "{cube}"], {"ordinals", "config", "cubesets"}),
+            (["layer", "type", "--file", "{layered}"], {"ordinals", "config", "cubesets", "layered"}),
+        ],
+    )
+    def test_command_loads_neither_numpy_nor_verify(self, tmp_path, command, modules):
+        files = {
+            "cube": write_json(tmp_path, "full.json", cube_to_json(cs_full(2))),
+            "layered": write_json(tmp_path, "layered.json", layered_to_json(LayeredSet.full())),
+        }
+        loaded = _loaded_modules(_FOOTPRINT, *(arg.format(**files) for arg in command))
+        assert "numpy" not in loaded
+        assert "ordcopies.verify" not in loaded
+        expected = {"ordcopies", "ordcopies.cli", "ordcopies.errors"}
+        expected |= {f"ordcopies.{name}" for name in modules}
+        assert {name for name in loaded if name.startswith("ordcopies")} == expected
+
+    def test_poset_still_loads_numpy(self, tmp_path):
+        path = write(tmp_path, "chain.txt", poset_to_text(chain(3)))
+        loaded = _loaded_modules(_FOOTPRINT, "poset", "sq", "--file", path)
+        assert "numpy" in loaded
+        assert "ordcopies.verify" not in loaded

@@ -218,6 +218,9 @@ class TestParsing:
             "(P(w)/fin)^+ x",
             "(P(w)/fin)^+ *",
             "P(w^(x))/I_(w^(x))",
+            "rp^\u00b2(P(w)/fin)",
+            "(P(w)/fin)^\u0663",
+            "P(w^(\u00b2))/I_(w^(\u00b2))",
         ],
     )
     def test_rejects(self, bad):

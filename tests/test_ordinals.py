@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,9 @@ from ordcopies import (
 from ordcopies.ordinals import left_difference
 
 o = parse_ordinal
+
+# The interpreter's int-string limit (4300 by default); 0 means none.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def naturals(max_value=4):
@@ -217,11 +222,23 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "w + w^(2)", "w + w", "3 + 2", "w*0", "0 + 1", "w^w", "w^(", "x", "1 +"],
+        ["", "w + w^(2)", "w + w", "3 + 2", "w*0", "0 + 1", "w^w", "w^(", "x", "1 +",
+         # SUPERSCRIPT TWO and ARABIC-INDIC DIGIT THREE pass str.isdigit();
+         # they are not digits of the grammar.
+         "\u00b2", "\u0663", "w^\u00b2", "w*\u0663", "w^(\u00b2)"],
     )
     def test_rejects(self, bad):
         with pytest.raises(OrdinalParseError):
             parse_ordinal(bad)
+
+    @pytest.mark.skipif(not 0 < INT_DIGITS < 5000, reason="needs the default int-string limit")
+    def test_refuses_a_digit_run_over_the_int_string_limit(self):
+        limit = INT_DIGITS
+        assert parse_ordinal("9" * limit) == Ordinal(10**limit - 1)
+        with pytest.raises(OrdinalParseError, match=rf"more than {limit} digits \(at position 2 "):
+            parse_ordinal("w*" + "1" * 5000)
+        with pytest.raises(OrdinalParseError, match=r"at position 0 "):
+            parse_ordinal("1" * (limit + 1))
 
     @given(ordinals(depth=2))
     def test_round_trip(self, a):

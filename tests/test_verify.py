@@ -105,9 +105,18 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
+    # The package loads its submodules on first use, so vars() lists only
+    # what is loaded so far; dir() lists every name, and each must resolve.
     names = sorted(
         name
-        for name, value in vars(ordcopies).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(ordcopies)
+        if not name.startswith("_") and not isinstance(getattr(ordcopies, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+    assert sorted(ordcopies.__all__) == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from ordcopies import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_NAMES
