@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, PosetFormatError
 
 # Each `_run_*` and `_load_*` imports the modules its command needs, so only
 # `poset` loads numpy and only `verify` loads the suites.  Their names are
@@ -34,6 +34,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _ascii_int(text: str) -> int:
+    """argparse's ``int``, refusing non-ASCII digits with the same message."""
+    try:
+        if text.isascii():
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _build_parser() -> _Parser:
@@ -66,7 +76,7 @@ def _build_parser() -> _Parser:
     layer_sub = layer_cmd.add_subparsers(dest="op", required=True, parser_class=_Parser)
     sset = layer_sub.add_parser("sset")
     sset.add_argument("--file", required=True)
-    sset.add_argument("m", type=int)
+    sset.add_argument("m", type=_ascii_int)
     layer_sub.add_parser("supp").add_argument("--file", required=True)
     layer_sub.add_parser("ideal").add_argument("--file", required=True)
     subset = layer_sub.add_parser("subset")
@@ -107,11 +117,16 @@ def _read(path: str) -> str:
         raise InputFormatError(f"{path}: {exc}") from None
 
 
-def _load_json(path: str):
+def _parse_json(text: str, where: str):
+    # ValueError covers JSONDecodeError and an integer past the int-string limit.
     try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputFormatError(f"{where}: {exc}") from None
+
+
+def _load_json(path: str):
+    return _parse_json(_read(path), path)
 
 
 def _load_cube(path: str):
@@ -134,6 +149,16 @@ def _load_index_set(path: str):
     if isinstance(obj, dict) and obj.get("kind") in ("finite", "cofinite"):
         return FinCof.from_json(obj)
     return cube_from_json(obj)
+
+
+def _load_poset(path: str):
+    from .posets import poset_from_text
+
+    text = _read(path)
+    size = next((line.strip() for line in text.splitlines() if line.strip()), "")
+    if not size.isascii():  # the reader's int() takes any Unicode digit
+        raise PosetFormatError(f"first line must be the size, got {size!r}")
+    return poset_from_text(text)
 
 
 def _bool_text(value: bool) -> str:
@@ -185,10 +210,7 @@ def _run_set(args) -> str:
 
     a = _load_cube(args.file)
     if args.op == "member":
-        try:
-            point = json.loads(args.point)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"point: {exc}") from None
+        point = _parse_json(args.point, "point")
         if not isinstance(point, list):
             raise InputFormatError("point must be a JSON array")
         return _bool_text(cs_member(a, point)) + "\n"
@@ -239,7 +261,6 @@ def _run_layer(args) -> str:
 def _run_poset(args) -> str:
     from .posets import (
         is_separative,
-        poset_from_text,
         poset_iso,
         poset_product,
         poset_to_text,
@@ -247,14 +268,14 @@ def _run_poset(args) -> str:
         sep_quot,
     )
 
-    p = poset_from_text(_read(args.file))
+    p = _load_poset(args.file)
     if args.op == "sm":
         return poset_to_text(sep_mod(p))
     if args.op == "sq":
         return poset_to_text(sep_quot(p))
     if args.op == "sep":
         return _bool_text(is_separative(p)) + "\n"
-    q = poset_from_text(_read(args.other))
+    q = _load_poset(args.other)
     if args.op == "product":
         return poset_to_text(poset_product(p, q))
     if args.op == "iso":

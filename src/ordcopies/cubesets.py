@@ -290,8 +290,6 @@ def _leaves(mask: int, n: int) -> Tuple[CubeSet, ...]:
 def cs_empty(dim: int) -> CubeSet:
     if dim == 0:
         return _LEAF_FALSE
-    if dim == 1:
-        return CubeSet._masks(0, 0, 0, 1)
     return CubeSet.node((), (cs_empty(dim - 1),))
 
 
@@ -299,8 +297,6 @@ def cs_empty(dim: int) -> CubeSet:
 def cs_full(dim: int) -> CubeSet:
     if dim == 0:
         return _LEAF_TRUE
-    if dim == 1:
-        return CubeSet._masks(0, 0, 1, 1)
     return CubeSet.node((), (cs_full(dim - 1),))
 
 
@@ -435,20 +431,19 @@ def _block_type(a: CubeSet) -> Ordinal:
 
 
 def _whole_blocks(block: Ordinal, xi: Ordinal) -> int:
-    """Largest q with block * q <= xi (finite because xi < block * w)."""
-    if ord_cmp(xi, block) == LT:
-        return 0
-    hi = 1
-    while ord_cmp(ord_mul(block, hi), xi) != GT:
-        hi <<= 1
-    lo = hi >> 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ord_cmp(ord_mul(block, mid), xi) != GT:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest q with block * q <= xi (finite because xi < block * w).
+
+    With block = w^e*c + r and xi = w^e*d + s (r, s < w^e), block * q is
+    w^e*(c*q) + r for q >= 1, so q = d // c, less one when c*q == d and r > s.
+    """
+    (e, c), r = block.terms[0], Ordinal._make(block.terms[1:])
+    d, s = 0, xi
+    if xi.terms and xi.terms[0][0] == e:
+        d, s = xi.terms[0][1], Ordinal._make(xi.terms[1:])
+    q = d // c
+    if q and c * q == d and ord_cmp(r, s) == GT:
+        q -= 1
+    return q
 
 
 def _select(a: CubeSet, xi: Ordinal) -> Point:

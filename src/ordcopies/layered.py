@@ -104,12 +104,6 @@ class FinCof:
     def __contains__(self, n: int) -> bool:
         return (n in self.exceptions) == (self.kind == "finite")
 
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    def is_empty(self) -> bool:
-        return self.kind == "finite" and not self.exceptions
-
     def complement(self) -> "FinCof":
         other = "cofinite" if self.kind == "finite" else "finite"
         return FinCof(other, self.exceptions)
@@ -216,7 +210,7 @@ def _as_flag(value) -> Optional[bool]:
 class LayeredSet:
     """A subset of the layer tower; immutable and canonical."""
 
-    __slots__ = ("prefix", "tail", "_hash")
+    __slots__ = ("prefix", "tail")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use LayeredSet.make")
@@ -229,7 +223,6 @@ class LayeredSet:
         self = object.__new__(cls)
         self.prefix = prefix
         self.tail = tail
-        self._hash = None
         return self
 
     @classmethod
@@ -271,21 +264,13 @@ class LayeredSet:
             return omega_power(n + 1) if col else ZERO
         return cs_order_type(col)
 
-    def column_nonempty(self, n: int) -> bool:
-        col = self.column(n)
-        if isinstance(col, bool):
-            return col
-        return not cs_is_empty(col)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayeredSet):
             return NotImplemented
         return self.prefix == other.prefix and self.tail == other.tail
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.prefix, self.tail))
-        return self._hash
+        return hash((self.prefix, self.tail))
 
     def __repr__(self) -> str:
         return f"<LayeredSet prefix={len(self.prefix)} tail={self.tail}>"
@@ -357,9 +342,8 @@ def s_set_natset(a: LayeredSet, m: int) -> CubeSet:
 
 
 def supp_natset(a: LayeredSet) -> CubeSet:
-    """Exact support as a dimension-1 cube set."""
-    bits = [a.column_nonempty(n) for n in range(len(a.prefix))]
-    return natset(bits, a.tail)
+    """Exact support as a dimension-1 cube set; canonical cube columns are nonempty."""
+    return natset([col is not False for col in a.prefix], a.tail)
 
 
 def ls_s_set(a: LayeredSet, m: int) -> Union[FinCof, CubeSet]:
@@ -380,10 +364,11 @@ def ls_supp(a: LayeredSet) -> Union[FinCof, CubeSet]:
 def ls_in_ideal(a: LayeredSet) -> bool:
     """True iff the set fails to contain a copy of the whole tower.
 
-    Equivalent to some S^m being empty; beyond the prefix the tail is
-    periodic, so levels up to the prefix length + 1 decide it.
+    That is iff some S^m is empty, and the tail decides it: a full tail
+    column recurs cofinally, putting a full layer w^(n+1) in every S^m,
+    while an all-empty tail leaves the set inside finitely many layers.
     """
-    return any(cs_is_empty(s_set_natset(a, m)) for m in range(len(a.prefix) + 2))
+    return not any(a.tail)
 
 
 def ls_subset_ideal(a: LayeredSet, b: LayeredSet) -> bool:

@@ -1,8 +1,9 @@
 """Deterministic property suites and the random generators behind them.
 
-Each suite replays the algebraic laws the package is built on.  A sampled
+Each suite replays the algebraic laws the package is built on.  Every
 check is a per-sample law that ``_law`` runs over one rng stream seeded by
-the check's name, so a run is reproducible and a failure names its sample.
+the check's name, so a run is reproducible and a failure names its sample;
+a fixed table or exhaustive search is a law of one sample, with no stream.
 The CLI ``verify`` command prints one line per check; the acceptance tests
 reuse the same check functions at their full sample sizes.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cubesets import (
@@ -91,15 +91,16 @@ class Check:
     detail: str = ""
 
 
-def _law(name: str, samples: int):
+def _law(name: str, count: int):
     """Make ``body(rng, index)``, which returns None or what went wrong, the
-    check ``name`` over the first ``samples`` samples of the rng stream seeded
+    check ``name`` over the first ``count`` samples of the rng stream seeded
     by that name.  A failure names its sample as ``[name:index]``; calling
-    the check with ``samples=index + 1`` replays it."""
+    the check with ``samples=index + 1`` replays it.  A law of one sample is
+    a fixed check: it draws no stream, and its body gets None for the rng."""
 
-    def wrap(body: Callable[[random.Random, int], Optional[str]]) -> Callable[..., Check]:
-        def check(samples: int = samples) -> Check:
-            rng = random.Random(f"ordcopies:{name}")
+    def wrap(body: Callable[[Optional[random.Random], int], Optional[str]]) -> Callable[..., Check]:
+        def check(samples: int = count) -> Check:
+            rng = random.Random(f"ordcopies:{name}") if count > 1 else None
             for index in range(samples):
                 message = body(rng, index)
                 if message is not None:
@@ -125,10 +126,7 @@ def random_ordinal(rng, depth: int = 1, max_terms: int = 3, max_coeff: int = 4) 
         else:
             e = random_ordinal(rng, depth - 1, max_terms=2, max_coeff=3)
         exponents[e] = rng.randint(1, max_coeff)
-    terms = sorted(
-        exponents.items(), key=cmp_to_key(lambda a, b: ord_cmp(a[0], b[0])), reverse=True
-    )
-    return Ordinal.from_terms(terms)
+    return Ordinal.from_terms(sorted(exponents.items(), reverse=True))
 
 
 def random_cubeset(rng, dim: int) -> CubeSet:
@@ -161,7 +159,7 @@ def random_increasing_exponents(rng, count: int) -> List[Ordinal]:
     seen = set()
     while len(seen) < count:
         seen.add(random_ordinal(rng, depth=1, max_terms=2, max_coeff=3))
-    return sorted(seen, key=cmp_to_key(ord_cmp))
+    return sorted(seen)
 
 
 def random_alpha_below_w_w2(rng) -> Ordinal:
@@ -174,10 +172,7 @@ def random_alpha_below_w_w2(rng) -> Ordinal:
         else:
             e = Ordinal(rng.randint(1, 6))
         exponents[e] = rng.randint(1, 4)
-    terms = sorted(
-        exponents.items(), key=cmp_to_key(lambda a, b: ord_cmp(a[0], b[0])), reverse=True
-    )
-    alpha = Ordinal.from_terms(terms)
+    alpha = Ordinal.from_terms(sorted(exponents.items(), reverse=True))
     if rng.random() < 0.5:
         alpha = ord_add(alpha, rng.randint(1, 9))
     return alpha
@@ -211,13 +206,12 @@ def check_ordinal_laws(rng, _):
         return f"a(b+c) != ab+ac for {a}, {b}, {c}"
 
 
-def check_noncommutativity() -> Check:
-    name = "ordinals.noncommutative"
+@_law("ordinals.noncommutative", 1)
+def check_noncommutativity(_rng, _):
     if ord_add(1, OMEGA) != OMEGA or ord_add(OMEGA, 1) == OMEGA:
-        return Check(name, False, "addition witnesses failed")
+        return "addition witnesses failed"
     if ord_mul(2, OMEGA) != OMEGA or ord_mul(OMEGA, 2) == OMEGA:
-        return Check(name, False, "multiplication witnesses failed")
-    return Check(name, True)
+        return "multiplication witnesses failed"
 
 
 @_law("ordinals.power-law", 150)
@@ -272,27 +266,26 @@ _BLOCK_LIMIT_TABLE: Sequence[Tuple[str, str]] = (
 )
 
 
-def check_block_limit_table() -> Check:
+@_law("cubesets.block-limit-table", 1)
+def check_block_limit_table(_rng, _):
     """The closed form c * w = w^(e+1) against hand-checked values and
     against truncated partial sums."""
-    name = "cubesets.block-limit-table"
     for block_text, expected_text in _BLOCK_LIMIT_TABLE:
         block = parse_ordinal(block_text)
         expected = parse_ordinal(expected_text)
         closed = omega_power(ord_add(block.leading_exponent(), ONE))
         if closed != expected:
-            return Check(name, False, f"closed form for {block} gave {closed}, expected {expected}")
+            return f"closed form for {block} gave {closed}, expected {expected}"
         partial = ZERO
         floor = omega_power(block.leading_exponent())
         for k in range(1, 12):
             partial = ord_add(partial, block)
             if partial != ord_mul(block, k):
-                return Check(name, False, f"partial sum mismatch at {block} * {k}")
+                return f"partial sum mismatch at {block} * {k}"
             if ord_cmp(partial, expected) != LT:
-                return Check(name, False, f"partial sum {partial} not below {expected}")
+                return f"partial sum {partial} not below {expected}"
             if ord_cmp(ord_mul(floor, k), partial) == GT:
-                return Check(name, False, f"partial sums of {block} grow too slowly")
-    return Check(name, True)
+                return f"partial sums of {block} grow too slowly"
 
 
 @_law("cubesets.oracle-agreement", 3000)
@@ -358,8 +351,7 @@ def random_segment_bound(rng, n: int) -> Ordinal:
     terms = {}
     for _ in range(rng.randint(0, n)):
         terms[Ordinal(rng.randint(0, n - 1))] = rng.randint(1, 3)
-    pairs = sorted(terms.items(), key=cmp_to_key(lambda a, b: ord_cmp(a[0], b[0])), reverse=True)
-    return Ordinal.from_terms(pairs)
+    return Ordinal.from_terms(sorted(terms.items(), reverse=True))
 
 
 @_law("cubesets.select", 500)
@@ -406,10 +398,10 @@ def lex_sum_set(a: Ordinal, b: Ordinal) -> CubeSet:
     return CubeSet.node(_segment_columns(a) + _segment_columns(b), (cs_empty(1),))
 
 
-def check_arithmetic_vs_lex() -> Check:
+@_law("cubesets.arith-vs-lex", 1)
+def check_arithmetic_vs_lex(_rng, _):
     """Sums and products agree with the order types of explicit lex sets,
     for all w*i+j with i, j <= 3."""
-    name = "cubesets.arith-vs-lex"
     values = [
         Ordinal.from_terms(([(ONE, i)] if i else []) + ([(ZERO, j)] if j else []))
         for i in range(4)
@@ -418,11 +410,10 @@ def check_arithmetic_vs_lex() -> Check:
     for a in values:
         for b in values:
             if cs_order_type(lex_sum_set(a, b)) != ord_add(a, b):
-                return Check(name, False, f"lex sum disagrees at {a}, {b}")
+                return f"lex sum disagrees at {a}, {b}"
             product = cs_product(initial_segment(2, b), initial_segment(2, a))
             if cs_order_type(product) != ord_mul(a, b):
-                return Check(name, False, f"lex product disagrees at {a}, {b}")
-    return Check(name, True)
+                return f"lex product disagrees at {a}, {b}"
 
 
 @_law("cubesets.separativity-witness", 150)
@@ -552,8 +543,8 @@ def check_fusion_claims(rng, _):
 # -- poset checks --------------------------------------------------------------------
 
 
-def check_sq_product_exhaustive() -> Check:
-    name = "posets.sq-product-small"
+@_law("posets.sq-product-small", 1)
+def check_sq_product_exhaustive(_rng, _):
     small = []
     for n in (1, 2, 3):
         small.extend(all_preorders(n))
@@ -562,10 +553,9 @@ def check_sq_product_exhaustive() -> Check:
             lhs = sep_quot(poset_product(p, q))
             rhs = poset_product(sep_quot(p), sep_quot(q))
             if poset_iso(lhs, rhs) is None:
-                return Check(name, False, f"law fails at sizes {p.size} x {q.size}")
+                return f"law fails at sizes {p.size} x {q.size}"
             if not is_separative(lhs):
-                return Check(name, False, "a separative quotient is not separative")
-    return Check(name, True)
+                return "a separative quotient is not separative"
 
 
 @_law("posets.sq-product-random", 500)
@@ -606,18 +596,17 @@ def check_sq_respects_iso(rng, _):
 # -- factorizer checks -----------------------------------------------------------------
 
 
-def check_factorizer_goldens() -> Check:
-    name = "factorizer.goldens"
+@_law("factorizer.goldens", 1)
+def check_factorizer_goldens(_rng, _):
     base = PositivePart(QuotientAlgebra(ONE))
     for n in range(1, 7):
         expected = base if n == 1 else Power(base, n)
         if factorize(ord_mul(OMEGA, n)) != expected:
-            return Check(name, False, f"w*{n} did not factor into the {n}-th power")
+            return f"w*{n} did not factor into the {n}-th power"
     for n in range(1, 6):
         core = QuotientAlgebra(ONE) if n == 1 else ReducedPowerIter(QuotientAlgebra(ONE), n - 1)
         if factorize(omega_power(n)) != PositivePart(core):
-            return Check(name, False, f"w^{n} did not factor into depth {n - 1}")
-    return Check(name, True)
+            return f"w^{n} did not factor into depth {n - 1}"
 
 
 @_law("factorizer.tail-drop", 200)

@@ -137,6 +137,23 @@ class TestSetCommands:
             assert result.stderr.startswith(f"error: {path}: ")
             assert result.stderr.count("\n") == 1
 
+    def test_json_past_the_int_limit_or_nested_too_deep_exits_2(self, tmp_path):
+        big = write(tmp_path, "big.json", '{"dim": 1, "prefix": [' + "1" * 5000 + '], "cycle": [0]}')
+        deep = write(tmp_path, "deep.json", "[" * 1500 + "]" * 1500)
+        for path in (big, deep):
+            result = run(["set", "type", "--file", path])
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr.startswith(f"error: {path}: ")
+            assert result.stderr.count("\n") == 1
+
+    def test_point_past_the_int_limit_or_nested_too_deep_exits_2(self, tmp_path):
+        path = write_json(tmp_path, "full.json", cube_to_json(cs_full(2)))
+        for point in ("[" + "1" * 5000 + "]", "[" * 1500 + "]" * 1500):
+            result = run(["set", "member", "--file", path, point])
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr.startswith("error: point: ")
+            assert result.stderr.count("\n") == 1
+
 
 class TestLayerCommands:
     def test_sset_supp_ideal_type(self, tmp_path):
@@ -160,6 +177,15 @@ class TestLayerCommands:
             layered_to_json(LayeredSet.make(["full", "empty"], "full")),
         )
         assert run(["layer", "subset", "--file", full, "--other", minus]).stdout == "true\n"
+
+    def test_non_ascii_level_exits_2(self, tmp_path):
+        path = write_json(tmp_path, "full.json", layered_to_json(LayeredSet.full()))
+        result = run(["layer", "sset", "--file", path, "\u0663"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "usage error: argument m: invalid int value: '\u0663'\n"
+        result = run(["layer", "sset", "--file", path, "abc"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "usage error: argument m: invalid int value: 'abc'\n"
 
     def test_fusion(self, tmp_path):
         full = write_json(tmp_path, "full.json", layered_to_json(LayeredSet.full()))
@@ -251,6 +277,13 @@ class TestPosetCommands:
     def test_bad_format_exits_2(self, tmp_path):
         path = write(tmp_path, "bad.txt", "2\n11\n")
         assert run(["poset", "sq", "--file", path]).exit_code == 2
+
+    def test_non_ascii_size_exits_2(self, tmp_path):
+        path = tmp_path / "arabic.txt"
+        path.write_bytes("\u0663\n100\n010\n001\n".encode("utf-8"))
+        result = run(["poset", "sep", "--file", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: first line must be the size, got '\u0663'\n"
 
 
 class TestFactorizeCommand:

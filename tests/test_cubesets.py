@@ -38,6 +38,7 @@ from ordcopies import (
     parse_ordinal,
     point_to_ord,
 )
+from ordcopies.cubesets import _whole_blocks
 from ordcopies.verify import (
     check_arithmetic_vs_lex,
     check_block_limit_table,
@@ -263,6 +264,55 @@ class TestEnumeration:
         p = tuple(coords[: a.dim])
         if cs_member(a, p):
             assert cs_select(a, cs_rank(a, p)) == p
+
+
+def _whole_blocks_by_bisection(block, xi):
+    """The doubling-and-bisection search the closed form replaced: the
+    largest q with block * q <= xi."""
+    if xi < block:
+        return 0
+    hi = 1
+    while ord_mul(block, hi) <= xi:
+        hi <<= 1
+    lo = hi >> 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ord_mul(block, mid) <= xi:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestWholeBlocks:
+    # Finite and infinite blocks, and remainders on both sides of theirs.
+    BLOCKS = "1 2 3 5 w w+1 w+3 w*2 w*2+3 w*3+1 w^(2) w^(2)+w*2+3 w^(2)*2+1 w^(3)*2+w w^(w)+w+1"
+    REMAINDERS = "0 1 2 3 4 w w+1 w+3 w+4 w*2 w*2+3 w^(2) w^(2)+1 w^(2)+w*2 w^(2)+w*2+4 w^(5)"
+
+    def test_closed_form_matches_bisection(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closed form multiplied ordinals")
+
+        monkeypatch.setattr("ordcopies.cubesets.ord_mul", refuse)
+        pairs = 0
+        for block in map(o, self.BLOCKS.split()):
+            e = block.leading_exponent()
+            for s in map(o, self.REMAINDERS.split()):
+                if s >= omega_power(e):
+                    continue
+                for d in range(13):
+                    xi = omega_power(e, d) + s if d else s
+                    assert xi < block * OMEGA
+                    assert _whole_blocks(block, xi) == _whole_blocks_by_bisection(block, xi)
+                    pairs += 1
+        assert pairs > 1000
+
+    def test_ties_on_the_leading_coefficient(self):
+        block = o("w*2+3")
+        assert _whole_blocks(block, o("w*4+1")) == 1
+        assert _whole_blocks(block, o("w*4+3")) == 2
+        assert _whole_blocks(block, o("w*4+4")) == 2
+        assert _whole_blocks(block, o("w+5")) == 0
 
 
 class TestPointCodes:

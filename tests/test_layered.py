@@ -234,6 +234,31 @@ class TestIdealMembership:
         result = check_ideal_consistency(samples=80)
         assert result.ok, result.detail
 
+    def test_reads_the_tail_without_level_sets_or_order_types(self, monkeypatch):
+        point = CubeSet.node([CubeSet.node([natset([True])], [cs_empty(1)])], [cs_empty(2)])
+        samples = [
+            LayeredSet.make([cs_full(1), "empty", point], (False, True)),
+            LayeredSet.make([EVENS, cs_empty(2), point], (True, False, False)),
+            LayeredSet.make([EVENS, cs_full(2), point], "empty"),
+        ]
+        rng = random.Random(15)
+        samples += [random_layered(rng, cyclic_tails=True) for _ in range(300)]
+        assert any(
+            len(a.tail) > 1 and any(isinstance(col, CubeSet) for col in a.prefix) for a in samples
+        )
+        # The S^m route: the set is in the ideal iff some level set is empty.
+        expected = [
+            any(cs_is_empty(s_set_natset(a, m)) for m in range(len(a.prefix) + 2)) for a in samples
+        ]
+        assert expected[:3] == [False, False, True] and True in expected[3:]
+
+        def refuse(*args):
+            raise AssertionError("ideal membership built a level set or an order type")
+
+        monkeypatch.setattr("ordcopies.layered.s_set_natset", refuse)
+        monkeypatch.setattr("ordcopies.layered.cs_order_type", refuse)
+        assert [ls_in_ideal(a) for a in samples] == expected
+
 
 class TestIdealInclusion:
     def test_pointwise_subset(self):
