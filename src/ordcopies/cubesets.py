@@ -19,7 +19,24 @@ The class is closed under Boolean operations and supports exact queries:
 lexicographic order type, membership in the n-fold Fubini power of the
 finite ideal, canonical enumeration, and copy detection.  Construction
 canonicalizes (minimal cycle, shortest prefix), so structural equality is
-semantic equality and hashing is consistent.
+semantic equality and hashing is consistent.  The minimal cycle is found
+prime by prime: for each prime p of the cycle length, divide the length by
+p while the shorter cycle still repeats.
+
+Two shortcuts are taken when a query runs, never at construction, and
+what they keep dies with the call:
+
+- A Boolean operation at dimension >= 2 aligns the column streams to the
+  lcm of their periods, so with coprime periods the same pair of
+  dimension-1 columns meets many times.  Each call keeps the result per
+  pair of dimension-1 columns (keyed by value), as a BDD apply cache does;
+  the complement keeps one per column.
+- The order type of a subset of w^n is below w^(n+1), so it is summed on
+  ``(int exponent, coefficient)`` terms.  The cycle adds w^(h+1), where the
+  *height* h is the largest leading exponent among the cycle columns: for a
+  column of dimension 1 it is 1 if infinite, 0 if finite and nonempty and
+  -1 if empty, and at dimension >= 2 it is the largest of the prefix
+  columns' heights and one more than the cycle's.
 
 The (prefix, cycle) stream helpers below (``_canonical``, ``_column`` and
 ``_zip``) are the one implementation of that stream algebra for streams of
@@ -35,9 +52,10 @@ naturals, most significant coordinate first.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from functools import lru_cache
-from math import isqrt, lcm
+from functools import lru_cache, partial
+from math import lcm
 from typing import Iterable, Sequence, Tuple
 
 from . import config
@@ -65,19 +83,35 @@ Point = Tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _divisors(n: int) -> Tuple[int, ...]:
-    """The proper divisors of n, ascending: the candidate periods of a
-    cycle of length n."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return tuple(sorted({*small, *(n // d for d in small)} - {n}))
+def _primes(n: int) -> Tuple[int, ...]:
+    """The distinct prime factors of n, ascending, by trial division: the
+    prime steps of the period search for a cycle of length n."""
+    found = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            found.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        found.append(n)
+    return tuple(found)
 
 
 def _canonical(prefix, cycle):
-    """Minimal cycle, then shortest prefix, of the same stream."""
-    for period in _divisors(len(cycle)):
-        if cycle[period:] == cycle[:-period]:
-            cycle = cycle[:period]
-            break
+    """Minimal cycle, then shortest prefix, of the same stream.
+
+    The periods of a cyclic stream are closed under gcd, so the minimal one
+    is found prime by prime: divide the length by p while the shorter cycle
+    still repeats.  A cycle of length n takes one compare per prime of n
+    that fails, plus one per prime factor it loses.
+    """
+    n = len(cycle)
+    for p in _primes(n):
+        while n % p == 0 and cycle[n // p : n] == cycle[: n - n // p]:
+            n //= p
+    cycle = cycle[:n]
     prefix = list(prefix)
     while prefix and prefix[-1] == cycle[-1]:
         prefix.pop()
@@ -95,11 +129,14 @@ def _zip(prefix_a, cycle_a, prefix_b, cycle_b, op):
     """``op`` applied column by column to two streams: the (prefix, cycle)
     of the result, aligned to the lcm of the two periods."""
     explicit = max(len(prefix_a), len(prefix_b))
-    cols = tuple(
-        op(_column(prefix_a, cycle_a, i), _column(prefix_b, cycle_b, i))
-        for i in range(explicit + lcm(len(cycle_a), len(cycle_b)))
-    )
+    n = explicit + lcm(len(cycle_a), len(cycle_b))
+    cols = tuple(map(op, _first(prefix_a, cycle_a, n), _first(prefix_b, cycle_b, n)))
     return cols[:explicit], cols[explicit:]
+
+
+def _first(prefix, cycle, n):
+    """The first ``n`` columns of a stream, as an iterator."""
+    return itertools.islice(itertools.chain(prefix, itertools.cycle(cycle)), n)
 
 
 # -- the same streams over bits, as int masks (bit i is column i) --------------
@@ -128,11 +165,10 @@ def _repeat(mask: int, width: int, total: int) -> int:
 
 def _mask_canonical(pmask, plen, cmask, clen):
     """``_canonical`` for a stream of bits."""
-    for period in _divisors(clen):
-        if cmask >> period == cmask & _ones(clen - period):
-            cmask &= _ones(period)
-            clen = period
-            break
+    for p in _primes(clen):
+        while clen % p == 0 and cmask >> clen // p == cmask & _ones(clen - clen // p):
+            clen //= p
+            cmask &= _ones(clen)
     # The cycle run backwards from column plen; the prefix columns past the
     # highest one that differs from it join the cycle, which turns by as many.
     shift = -plen % clen
@@ -341,13 +377,41 @@ def _lift(bit_op):
         if a.dim == 0:
             return CubeSet.leaf(bit_op(a.bit, b.bit))
         if a.dim == 1:
-            explicit = max(a._plen, b._plen)
-            period = lcm(a._clen, b._clen)
-            (pa, ca), (pb, cb) = _unroll(a, explicit, period), _unroll(b, explicit, period)
-            return CubeSet._masks(bit_op(pa, pb), explicit, bit_op(ca, cb), period)
-        return CubeSet.node(*_zip(a._prefix, a._cycle, b._prefix, b._cycle, op))
+            return _bitwise(bit_op, a, b)
+        return _apply(bit_op, {}, a, b)
 
     return op
+
+
+def _bitwise(bit_op, a: CubeSet, b: CubeSet) -> CubeSet:
+    """``bit_op`` on two dimension-1 sets, on their masks aligned to the lcm."""
+    explicit = max(a._plen, b._plen)
+    period = lcm(a._clen, b._clen)
+    (pa, ca), (pb, cb) = _unroll(a, explicit, period), _unroll(b, explicit, period)
+    return CubeSet._masks(bit_op(pa, pb), explicit, bit_op(ca, cb), period)
+
+
+def _apply(bit_op, memo: dict, a: CubeSet, b: CubeSet) -> CubeSet:
+    """``bit_op`` lifted to two sets of one dimension >= 1.  ``memo`` maps
+    each pair of dimension-1 columns met during one top-level call to its
+    result, as a BDD apply cache does: aligned coprime cycles meet the same
+    column pairs many times.  The column op is a partial, not a closure that
+    calls itself, so the memo dies with the call and leaves no cycle."""
+    if a.dim == 1:
+        key = a._prefix, a._plen, a._cycle, a._clen, b._prefix, b._plen, b._cycle, b._clen
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = _bitwise(bit_op, a, b)
+        return result
+    col_op = partial(_apply, bit_op, memo)
+    return _node(a.dim, *_zip(a._prefix, a._cycle, b._prefix, b._cycle, col_op))
+
+
+def _node(dim: int, prefix: tuple, cycle: tuple) -> CubeSet:
+    """The dimension-``dim`` set (dim >= 2) with these columns, which are
+    cube sets of dimension dim - 1 already: canonicalized, not rechecked."""
+    prefix, cycle = _canonical(prefix, cycle)
+    return CubeSet._raw(dim, None, prefix, len(prefix), cycle, len(cycle))
 
 
 def _and_not(x, y):
@@ -360,15 +424,31 @@ cs_inter = _lift(operator.and_)
 cs_diff = _lift(_and_not)
 
 
+def _flip(a: CubeSet) -> CubeSet:
+    """The complement of a dimension-1 set; complementing every bit keeps
+    the stream canonical."""
+    return _interned(a._prefix ^ _ones(a._plen), a._plen, a._cycle ^ _ones(a._clen), a._clen)
+
+
 def cs_complement(a: CubeSet) -> CubeSet:
     if a.dim == 0:
         return CubeSet.leaf(not a.bit)
     if a.dim == 1:
-        # Complementing every bit keeps the stream canonical.
-        return _interned(a._prefix ^ _ones(a._plen), a._plen, a._cycle ^ _ones(a._clen), a._clen)
-    return CubeSet.node(
-        (cs_complement(c) for c in a._prefix), (cs_complement(c) for c in a._cycle)
-    )
+        return _flip(a)
+    return _complement({}, a)
+
+
+def _complement(memo: dict, a: CubeSet) -> CubeSet:
+    """The complement of a set of dimension >= 1; ``memo`` maps each
+    dimension-1 column met during one top-level call to its complement."""
+    if a.dim == 1:
+        key = a._prefix, a._plen, a._cycle, a._clen
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = _flip(a)
+        return result
+    op = partial(_complement, memo)
+    return _node(a.dim, tuple(map(op, a._prefix)), tuple(map(op, a._cycle)))
 
 
 def cs_bool(op: str, a: CubeSet, b: CubeSet = None) -> CubeSet:
@@ -393,19 +473,70 @@ def cs_order_type(a: CubeSet) -> Ordinal:
     limit of repeated block sums: for block sum c > 0 with leading exponent
     e this is w^(e+1).  At dimension 1 that is w for a nonempty cycle and
     the number of members otherwise.
+
+    A subset of w^n has a type below w^(n+1), so the sum runs on CNF terms
+    ``(int exponent, coefficient)`` and becomes an ``Ordinal`` once, at the
+    end.  The block sum is never formed: its leading exponent is the largest
+    *height* (leading exponent of the type) among the cycle columns.
     """
     if a.dim == 0:
         return ONE if a.bit else ZERO
     if a.dim == 1:
         return OMEGA if a._cycle else Ordinal(a._prefix.bit_count())
-    total = ZERO
+    return Ordinal._make(tuple((Ordinal(e), c) for e, c in _type_terms(a)))
+
+
+def _type_terms(a: CubeSet) -> list:
+    """The order type of a set of dimension >= 1 as CNF terms
+    ``(int exponent, coefficient)``, leading term first."""
+    if a.dim == 1:
+        if a._cycle:
+            return [(1, 1)]
+        count = a._prefix.bit_count()
+        return [(0, count)] if count else []
+    total = []
     for col in a._prefix:
-        total = ord_add(total, cs_order_type(col))
-    block = _block_type(a)
-    if block.is_zero():
-        return total
-    limit = omega_power(ord_add(block.leading_exponent(), ONE))
-    return ord_add(total, limit)
+        _add_terms(total, _type_terms(col))
+    top = _cycle_height(a)
+    if top >= 0:
+        _add_terms(total, [(top + 1, 1)])
+    return total
+
+
+def _add_terms(total: list, terms: list) -> None:
+    """``total += terms`` in CNF, in place: the terms of ``total`` below the
+    leading exponent of ``terms`` are absorbed."""
+    if not terms:
+        return
+    lead, coeff = terms[0]
+    while total and total[-1][0] < lead:
+        total.pop()
+    if total and total[-1][0] == lead:
+        total[-1] = (lead, total[-1][1] + coeff)
+        terms = terms[1:]
+    total.extend(terms)
+
+
+def _height(a: CubeSet) -> int:
+    """The leading exponent of the order type of a set of dimension >= 1,
+    or -1 for the empty set."""
+    if a.dim == 1:
+        return 1 if a._cycle else 0 if a._prefix else -1
+    top = _cycle_height(a)
+    return max([top + 1 if top >= 0 else -1, *map(_height, a._prefix)])
+
+
+def _cycle_height(a: CubeSet) -> int:
+    """The largest height among the cycle columns of a set of dimension >= 2;
+    the scan stops at the largest possible, dim - 1."""
+    top = -1
+    for col in a._cycle:
+        h = _height(col)
+        if h > top:
+            top = h
+            if top == a.dim - 1:
+                break
+    return top
 
 
 def cs_fubini_positive(a: CubeSet) -> bool:

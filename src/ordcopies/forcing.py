@@ -37,6 +37,7 @@ from .ordinals import (
     Ordinal,
     OrdinalLike,
     _Parser,
+    _digits,
     ord_add,
     ord_cmp,
     ord_mul,
@@ -226,12 +227,12 @@ def _text(e: ForcingExpr) -> str:
             return "P(w)/fin"
         return f"P(w^({e.gamma}))/I_(w^({e.gamma}))"
     if isinstance(e, ReducedPowerIter):
-        head = "rp" if e.depth == 1 else f"rp^{e.depth}"
+        head = "rp" if e.depth == 1 else f"rp^{_digits(e.depth)}"
         return f"{head}({_text(e.inner)})"
     if isinstance(e, PositivePart):
         return f"({_text(e.inner)})^+"
     if isinstance(e, Power):
-        return f"({_text(e.inner)})^{e.exponent}"
+        return f"({_text(e.inner)})^{_digits(e.exponent)}"
     if isinstance(e, Product):
         return " x ".join(_text(f) for f in e.factors)
     if isinstance(e, Iteration):
@@ -246,12 +247,12 @@ def _latex(e: ForcingExpr) -> str:
         g = e.gamma.to_latex()
         return r"P(\omega^{%s})/\mathcal{I}_{\omega^{%s}}" % (g, g)
     if isinstance(e, ReducedPowerIter):
-        head = r"\mathrm{rp}" if e.depth == 1 else r"\mathrm{rp}^{%d}" % e.depth
+        head = r"\mathrm{rp}" if e.depth == 1 else r"\mathrm{rp}^{%s}" % _digits(e.depth)
         return f"{head}({_latex(e.inner)})"
     if isinstance(e, PositivePart):
         return f"({_latex(e.inner)})^+"
     if isinstance(e, Power):
-        return "(%s)^{%d}" % (_latex(e.inner), e.exponent)
+        return "(%s)^{%s}" % (_latex(e.inner), _digits(e.exponent))
     if isinstance(e, Product):
         return r" \times ".join(_latex(f) for f in e.factors)
     if isinstance(e, Iteration):

@@ -174,18 +174,29 @@ class Ordinal:
         return " + ".join(_term_latex(e, c) for e, c in self._terms)
 
 
+def _digits(n: int) -> str:
+    """The decimal text of an integer; one longer than the interpreter's
+    int-string limit is a RangeError, not a ValueError."""
+    try:
+        return str(n)
+    except ValueError:
+        raise RangeError(
+            f"a number of more than {_int_max_str_digits()} digits is too long to print"
+        ) from None
+
+
 def _term_text(exponent: Ordinal, coeff: int) -> str:
     if exponent.is_zero():
-        return str(coeff)
+        return _digits(coeff)
     base = "w" if exponent == ONE else f"w^({exponent})"
-    return base if coeff == 1 else f"{base}*{coeff}"
+    return base if coeff == 1 else f"{base}*{_digits(coeff)}"
 
 
 def _term_latex(exponent: Ordinal, coeff: int) -> str:
     if exponent.is_zero():
-        return str(coeff)
+        return _digits(coeff)
     base = r"\omega" if exponent == ONE else r"\omega^{%s}" % exponent.to_latex()
-    return base if coeff == 1 else base + r" \cdot %d" % coeff
+    return base if coeff == 1 else base + r" \cdot " + _digits(coeff)
 
 
 ZERO = Ordinal._make(())

@@ -79,6 +79,23 @@ class TestOrdCommands:
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4301,
+        reason="needs the default int-string limit",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ord", "pow", "10", "4300"],
+            ["ord", "mul", "7" + "0" * 2999, "3" + "0" * 2999],
+            ["ord", "mul", "w*1" + "0" * 2999, "1" + "0" * 2999],
+        ],
+    )
+    def test_a_result_past_the_int_limit_exits_1(self, argv):
+        result = run(argv)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "error: a number of more than 4300 digits is too long to print\n"
+
 
 class TestSetCommands:
     def test_type_of_full_dim2(self, tmp_path):

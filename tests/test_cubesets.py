@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 import time
 from functools import reduce
@@ -11,9 +13,11 @@ from ordcopies import (
     CubeSet,
     DimensionError,
     OMEGA,
+    ONE,
     Ordinal,
     RangeError,
     SchemaError,
+    ZERO,
     cs_bool,
     cs_complement,
     cs_empty,
@@ -33,12 +37,13 @@ from ordcopies import (
     initial_segment,
     natset,
     omega_power,
+    ord_add,
     ord_mul,
     ord_to_point,
     parse_ordinal,
     point_to_ord,
 )
-from ordcopies.cubesets import _whole_blocks
+from ordcopies.cubesets import _canonical, _whole_blocks
 from ordcopies.verify import (
     check_arithmetic_vs_lex,
     check_block_limit_table,
@@ -406,6 +411,23 @@ class TestJson:
 # -- dimension-1 sets as masks, against plain bit lists -------------------------
 
 
+def coprime(rng, dim, period):
+    """The JSON of a subset of w^dim whose cycle has minimal length
+    ``period`` at every level."""
+    if dim == 1:
+        bits = [1, 0] + [rng.randrange(2) for _ in range(period - 2)]
+        return {"dim": 1, "prefix": [], "cycle": bits}
+    cycle = [coprime(rng, dim - 1, period) for _ in range(period)]
+    cycle[1] = cube_to_json(cs_empty(dim - 1))
+    return {"dim": dim, "prefix": [], "cycle": cycle}
+
+
+def coprime_sets(dim):
+    """Seeded sets of periods 2, 3, 5 and 7, so a fold aligns to lcm 210."""
+    rng = random.Random("coprime")
+    return [cube_from_json(coprime(rng, dim, p)) for p in (2, 3, 5, 7)]
+
+
 def leaf_canonical(prefix, cycle):
     """The canonical form of a leaf stream, computed leaf by leaf as the
     tuple representation did before subsets of w became masks."""
@@ -480,17 +502,7 @@ class TestMasks:
         refuse_leaves("_canonical")
         monkeypatch.setattr(cubesets, "_leaf_mask", lambda leaves: built.append(leaves))
 
-        def coprime(rng, dim, period):
-            if dim == 1:
-                bits = [1, 0] + [rng.randrange(2) for _ in range(period - 2)]
-                return {"dim": 1, "prefix": [], "cycle": bits}
-            cycle = [coprime(rng, dim - 1, period) for _ in range(period)]
-            cycle[1] = cube_to_json(cs_empty(dim - 1))
-            return {"dim": dim, "prefix": [], "cycle": cycle}
-
-        rng = random.Random("coprime")
-        sets = [cube_from_json(coprime(rng, 2, p)) for p in (2, 3, 5, 7)]
-        union = reduce(cs_union, sets)
+        union = reduce(cs_union, coprime_sets(2))
         assert len(union.cycle) == 210
         assert cs_order_type(cs_complement(union)) == omega_power(2)
         assert built == []
@@ -504,3 +516,130 @@ class TestMasks:
         assert ones == cs_full(1)
         assert cs_order_type(one_point) == Ordinal(1) and len(one_point.prefix) == 1
         assert elapsed < 0.5
+
+
+# -- period search by prime factors ---------------------------------------------
+
+
+class TestPeriodSearch:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_cycle_mask_matches_the_leaf_stream(self, n):
+        for m in range(1 << n):
+            bits = [bool(m >> i & 1) for i in range(n)]
+            for prefix in ((), (True,)):
+                a = natset(prefix, bits)
+                leaves = tuple(map(bit, prefix)), tuple(map(bit, bits))
+                assert (a.prefix, a.cycle) == leaf_canonical(*leaves)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_object_stream_matches(self, n):
+        # Every tuple over {0, 1, 2} up to length 8, over {0, 1} beyond; the
+        # lengths 4, 8, 9 and 12 repeat a prime.
+        alphabet = range(3 if n <= 8 else 2)
+        for cycle in itertools.product(alphabet, repeat=n):
+            for prefix in ((), (cycle[-1],), (2, cycle[-1])):
+                assert _canonical(prefix, cycle) == leaf_canonical(prefix, cycle)
+
+    def test_repeated_primes_reduce_fully(self):
+        assert _canonical((), (0, 1) * 4) == ((), (0, 1))
+        assert _canonical((), (0, 0, 1) * 3) == ((), (0, 0, 1))
+        assert _canonical((), (1,) * 12) == ((), (1,))
+        assert natset((), [True, False, False, False] * 3).cycle == (bit(1), bit(0), bit(0), bit(0))
+
+
+# -- order types on int exponents -------------------------------------------------
+
+
+def reference_order_type(a):
+    """The order type summed on Ordinal arithmetic, block sum and all."""
+    if a.dim == 0:
+        return ONE if a.bit else ZERO
+    if a.dim == 1:
+        if any(leaf.bit for leaf in a.cycle):
+            return OMEGA
+        return Ordinal(sum(1 for leaf in a.prefix if leaf.bit))
+    total = ZERO
+    for col in a.prefix:
+        total = ord_add(total, reference_order_type(col))
+    block = ZERO
+    for col in a.cycle:
+        block = ord_add(block, reference_order_type(col))
+    if block.is_zero():
+        return total
+    limit = omega_power(ord_add(block.leading_exponent(), ONE))
+    return ord_add(total, limit)
+
+
+# A cycle column whose own prefix is taller than its cycle: a height that
+# ignored prefix columns would type this w^(2), not w^(3).
+TALL_PREFIX = CubeSet.node([], [CubeSet.node([cs_full(2)], [initial_segment(2, 1)])])
+
+
+class TestOrderTypeByHeight:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_against_the_ordinal_sum(self, dim):
+        rng = random.Random(f"order-type:{dim}")
+        for _ in range(300):
+            a, b = random_cubeset(rng, dim), random_cubeset(rng, dim)
+            for x in (a, cs_complement(a), cs_union(a, b), cs_inter(a, b), a - b):
+                assert cs_order_type(x) == reference_order_type(x)
+
+    def test_a_tall_prefix_inside_the_cycle(self):
+        assert cs_order_type(TALL_PREFIX) == reference_order_type(TALL_PREFIX) == omega_power(3)
+        rest = cs_complement(TALL_PREFIX)
+        assert cs_order_type(rest) == reference_order_type(rest)
+
+    def test_no_ordinal_arithmetic(self, monkeypatch):
+        sets = [TALL_PREFIX, cs_complement(TALL_PREFIX), reduce(cs_union, coprime_sets(3))]
+        sets += [random_cubeset(random.Random(i), 1 + i % 4) for i in range(50)]
+        expected = [reference_order_type(a) for a in sets]
+
+        def refuse(*args):
+            raise AssertionError("ordinal arithmetic in cs_order_type")
+
+        monkeypatch.setattr("ordcopies.cubesets.ord_add", refuse)
+        monkeypatch.setattr("ordcopies.cubesets.omega_power", refuse)
+        assert [cs_order_type(a) for a in sets] == expected
+
+
+# -- the per-call apply cache, without timing ---------------------------------------
+
+
+def distinct_column_pairs(a, b):
+    """The distinct pairs of dimension-1 columns that a Boolean op on a and
+    b aligns, found column by column."""
+    if a.dim == 1:
+        return {(a, b)}
+    n = max(len(a.prefix), len(b.prefix)) + lcm(len(a.cycle), len(b.cycle))
+    return set().union(*(distinct_column_pairs(a.column(i), b.column(i)) for i in range(n)))
+
+
+class TestApplyCache:
+    def test_union_fold_does_one_mask_op_per_distinct_pair(self, monkeypatch):
+        sets = coprime_sets(3)
+        ops = []
+        masks = CubeSet._masks
+        counted = classmethod(lambda cls, *m: ops.append(m) or masks(*m))
+        monkeypatch.setattr(CubeSet, "_masks", counted)
+        acc, distinct, done = sets[0], 0, 0
+        for other in sets[1:]:
+            distinct += len(distinct_column_pairs(acc, other))
+            done -= len(ops)
+            acc = cs_union(acc, other)
+            done += len(ops)
+        assert len(acc.cycle) == 210
+        # Without the cache every aligned column pair is an op: 19,425 here,
+        # against 1,254 distinct pairs.
+        assert done <= 2 * distinct
+
+    def test_ops_leave_no_reference_cycle(self):
+        sets = coprime_sets(3)
+        gc.collect()
+        gc.disable()
+        try:
+            union = reduce(cs_union, sets)
+            cs_complement(union)
+            cs_order_type(union)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -152,6 +153,19 @@ class TestRendering:
 
     def test_latex_golden(self):
         assert render_expr(BASE, "latex") == r"(P(\omega)/\mathrm{Fin})^+"
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="needs the default int-string limit",
+    )
+    @pytest.mark.parametrize("fmt", ["text", "latex"])
+    def test_a_number_past_the_int_limit_is_a_range_error(self, fmt):
+        big = 10**5000
+        for expr in (Power(BASE, big), PositivePart(ReducedPowerIter(QuotientAlgebra(ONE), big))):
+            with pytest.raises(RangeError, match="too long to print"):
+                render_expr(expr, fmt)
+        with pytest.raises(RangeError, match="too long to print"):
+            render_expr(factorize(ord_mul(OMEGA, big)), fmt)
 
     def test_iteration_text(self):
         text = render_expr(iteration_form(o("w*2")))

@@ -148,6 +148,19 @@ class TestPower:
         assert ord_pow(ord_pow(a, b), c) == ord_pow(a, ord_mul(b, c))
 
 
+class TestRendering:
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="needs the default int-string limit",
+    )
+    def test_a_coefficient_past_the_int_limit_is_a_range_error(self):
+        big = 10**5000
+        for value in (Ordinal(big), omega_power(OMEGA, big), ord_add(OMEGA, big), omega_power(big)):
+            for render in (str, Ordinal.to_latex):
+                with pytest.raises(RangeError, match="too long to print"):
+                    render(value)
+
+
 class TestClassification:
     def test_power_of_omega(self):
         assert is_indecomposable(o("w^(2)"))
