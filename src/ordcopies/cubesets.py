@@ -38,6 +38,10 @@ what they keep dies with the call:
   -1 if empty, and at dimension >= 2 it is the largest of the prefix
   columns' heights and one more than the cycle's.
 
+Selection and rank run on the same int terms, and an ``Ordinal`` is built
+only at the public boundary.  A term list compares like the ordinal it
+denotes under Python's list order (a proper prefix is smaller).
+
 The (prefix, cycle) stream helpers below (``_canonical``, ``_column`` and
 ``_zip``) are the one implementation of that stream algebra for streams of
 objects; ``_mask_canonical`` and ``_unroll`` are its form for bits.  The
@@ -64,16 +68,12 @@ from .ordinals import (
     EQ,
     GT,
     LT,
-    OMEGA,
     ONE,
     ZERO,
     Ordinal,
     OrdinalLike,
-    left_difference,
     omega_power,
-    ord_add,
     ord_cmp,
-    ord_mul,
 )
 
 Point = Tuple[int, ...]
@@ -472,18 +472,16 @@ def cs_order_type(a: CubeSet) -> Ordinal:
     Column types are summed in order.  The periodic part contributes the
     limit of repeated block sums: for block sum c > 0 with leading exponent
     e this is w^(e+1).  At dimension 1 that is w for a nonempty cycle and
-    the number of members otherwise.
-
-    A subset of w^n has a type below w^(n+1), so the sum runs on CNF terms
-    ``(int exponent, coefficient)`` and becomes an ``Ordinal`` once, at the
-    end.  The block sum is never formed: its leading exponent is the largest
-    *height* (leading exponent of the type) among the cycle columns.
+    the number of members otherwise.  The sum runs on int terms, by height.
     """
     if a.dim == 0:
         return ONE if a.bit else ZERO
-    if a.dim == 1:
-        return OMEGA if a._cycle else Ordinal(a._prefix.bit_count())
-    return Ordinal._make(tuple((Ordinal(e), c) for e, c in _type_terms(a)))
+    return _ordinal(_type_terms(a))
+
+
+def _ordinal(terms: list) -> Ordinal:
+    """The ``Ordinal`` of a list of ``(int exponent, coefficient)`` terms."""
+    return Ordinal._make(tuple((Ordinal(e), c) for e, c in terms))
 
 
 def _type_terms(a: CubeSet) -> list:
@@ -494,12 +492,18 @@ def _type_terms(a: CubeSet) -> list:
             return [(1, 1)]
         count = a._prefix.bit_count()
         return [(0, count)] if count else []
-    total = []
-    for col in a._prefix:
-        _add_terms(total, _type_terms(col))
+    total = _sum_terms(a._prefix)
     top = _cycle_height(a)
     if top >= 0:
         _add_terms(total, [(top + 1, 1)])
+    return total
+
+
+def _sum_terms(cols) -> list:
+    """The order types of ``cols`` (dimension >= 1) summed, as CNF terms."""
+    total = []
+    for col in cols:
+        _add_terms(total, _type_terms(col))
     return total
 
 
@@ -515,6 +519,17 @@ def _add_terms(total: list, terms: list) -> None:
         total[-1] = (lead, total[-1][1] + coeff)
         terms = terms[1:]
     total.extend(terms)
+
+
+def _minus(t: list, xi: list) -> list:
+    """The unique x with t + x = xi, for CNF terms t <= xi: x absorbs the
+    terms of ``t`` from the first that differs from ``xi``."""
+    for i, ((et, ct), (ex, cx)) in enumerate(zip(t, xi)):
+        if et != ex:
+            return xi[i:]
+        if ct != cx:
+            return [(ex, cx - ct), *xi[i + 1 :]]
+    return xi[len(t) :]
 
 
 def _height(a: CubeSet) -> int:
@@ -554,53 +569,49 @@ def cs_fubini_positive(a: CubeSet) -> bool:
     return any(cs_fubini_positive(col) for col in a._cycle)
 
 
-def _block_type(a: CubeSet) -> Ordinal:
-    block = ZERO
-    for col in a._cycle:
-        block = ord_add(block, cs_order_type(col))
-    return block
-
-
-def _whole_blocks(block: Ordinal, xi: Ordinal) -> int:
-    """Largest q with block * q <= xi (finite because xi < block * w).
+def _whole_blocks(block: list, xi: list) -> int:
+    """Largest q with block * q <= xi on CNF terms (finite: xi < block * w).
 
     With block = w^e*c + r and xi = w^e*d + s (r, s < w^e), block * q is
     w^e*(c*q) + r for q >= 1, so q = d // c, less one when c*q == d and r > s.
     """
-    (e, c), r = block.terms[0], Ordinal._make(block.terms[1:])
+    (e, c), r = block[0], block[1:]
     d, s = 0, xi
-    if xi.terms and xi.terms[0][0] == e:
-        d, s = xi.terms[0][1], Ordinal._make(xi.terms[1:])
+    if xi and xi[0][0] == e:
+        d, s = xi[0][1], xi[1:]
     q = d // c
-    if q and c * q == d and ord_cmp(r, s) == GT:
+    if q and c * q == d and r > s:
         q -= 1
     return q
 
 
-def _select(a: CubeSet, xi: Ordinal) -> Point:
+def _select(a: CubeSet, xi: list) -> Point:
+    """The xi-th member, for CNF terms xi below the set's type."""
     if a.dim == 0:
         return ()
     if a.dim == 1:
-        n = int(xi)
+        n = xi[0][1] if xi else 0
         before = a._prefix.bit_count()
         if n < before:
             return (_nth_bit(a._prefix, n),)
         whole, n = divmod(n - before, a._cycle.bit_count())
         return (a._plen + whole * a._clen + _nth_bit(a._cycle, n),)
     for i, col in enumerate(a._prefix):
-        t = cs_order_type(col)
-        if ord_cmp(xi, t) == LT:
+        t = _type_terms(col)
+        if xi < t:
             return (i,) + _select(col, xi)
-        xi = left_difference(t, xi)
-    block = _block_type(a)
+        xi = _minus(t, xi)
+    block = _sum_terms(a._cycle)
     skipped = _whole_blocks(block, xi)
-    xi = left_difference(ord_mul(block, skipped), xi)
+    if skipped:
+        (e, c), *rest = block
+        xi = _minus([(e, c * skipped), *rest], xi)
     base = a._plen + skipped * a._clen
     for j, col in enumerate(a._cycle):
-        t = cs_order_type(col)
-        if ord_cmp(xi, t) == LT:
+        t = _type_terms(col)
+        if xi < t:
             return (base + j,) + _select(col, xi)
-        xi = left_difference(t, xi)
+        xi = _minus(t, xi)
     raise AssertionError("selection walked past its bound")
 
 
@@ -613,7 +624,8 @@ def cs_select(a: CubeSet, xi: OrdinalLike) -> Point:
     xi = Ordinal(xi)
     if ord_cmp(xi, cs_order_type(a)) != LT:
         raise RangeError(f"index {xi} is not below the order type")
-    return _select(a, xi)
+    # xi is below w^(dim+1), so its exponents are natural numbers.
+    return _select(a, [(int(e), c) for e, c in xi.terms])
 
 
 def cs_rank(a: CubeSet, point: Sequence[int]) -> Ordinal:
@@ -621,29 +633,31 @@ def cs_rank(a: CubeSet, point: Sequence[int]) -> Ordinal:
     point = _check_point(a, point)
     if not cs_member(a, point):
         raise RangeError(f"point {point} is not a member")
-    return _rank(a, point)
+    return _ordinal(_rank(a, point))
 
 
-def _rank(a: CubeSet, point: Point) -> Ordinal:
+def _rank(a: CubeSet, point: Point) -> list:
+    """The position of a member, as CNF terms."""
     if a.dim == 0:
-        return ZERO
+        return []
     i = point[0]
     if a.dim == 1:
         if i < a._plen:
-            return Ordinal((a._prefix & _ones(i)).bit_count())
+            n = (a._prefix & _ones(i)).bit_count()
+        else:
+            whole, partial = divmod(i - a._plen, a._clen)
+            n = a._prefix.bit_count() + whole * a._cycle.bit_count()
+            n += (a._cycle & _ones(partial)).bit_count()
+        return [(0, n)] if n else []
+    total = _sum_terms(a._prefix[:i])
+    if i > a._plen:
         whole, partial = divmod(i - a._plen, a._clen)
-        before = a._prefix.bit_count() + whole * a._cycle.bit_count()
-        return Ordinal(before + (a._cycle & _ones(partial)).bit_count())
-    explicit = a._plen
-    total = ZERO
-    for col in a._prefix[: min(i, explicit)]:
-        total = ord_add(total, cs_order_type(col))
-    if i > explicit:
-        whole, partial = divmod(i - explicit, a._clen)
-        total = ord_add(total, ord_mul(_block_type(a), whole))
-        for j in range(partial):
-            total = ord_add(total, cs_order_type(a._cycle[j]))
-    return ord_add(total, _rank(a.column(i), point[1:]))
+        if whole:
+            (e, c), *rest = _sum_terms(a._cycle)
+            _add_terms(total, [(e, c * whole), *rest])
+        _add_terms(total, _sum_terms(a._cycle[:partial]))
+    _add_terms(total, _rank(a.column(i), point[1:]))
+    return total
 
 
 def point_to_ord(point: Sequence[int]) -> Ordinal:

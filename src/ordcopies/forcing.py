@@ -38,6 +38,7 @@ from .ordinals import (
     OrdinalLike,
     _Parser,
     _digits,
+    _int_max_str_digits,
     ord_add,
     ord_cmp,
     ord_mul,
@@ -312,7 +313,12 @@ def render_expr(e: ForcingExpr, fmt: str = "text") -> str:
     if fmt == "latex":
         return _latex(e)
     if fmt == "json":
-        return json.dumps(expr_to_json(e))
+        try:
+            return json.dumps(expr_to_json(e))
+        except ValueError:  # an int past the int-string limit, as in _digits
+            raise RangeError(
+                f"a number of more than {_int_max_str_digits()} digits is too long to print"
+            ) from None
     raise SchemaError(f"unknown format {fmt!r}")
 
 

@@ -15,8 +15,9 @@ the stream helpers of :mod:`ordcopies.cubesets`.  Equal sets are therefore
 equal values with equal hashes and the same JSON.
 
 Level sets S^m (columns whose order type reaches w^(m+1)) and supports are
-exact.  They are finite or cofinite whenever the tail is uniform and are
-returned as :class:`FinCof`; for properly periodic tails the exact answer is
+exact; S^m is computed by height, the leading exponent of a column's type.
+They are finite or cofinite whenever the tail is uniform and are returned
+as :class:`FinCof`; for properly periodic tails the exact answer is
 returned as a dimension-1 cube set instead.
 
 JSON schema: ``{"prefix": [column...], "tail": "empty"|"full"}`` where a
@@ -42,13 +43,17 @@ from .errors import (
 )
 from .cubesets import (
     CubeSet,
+    _add_terms,
     _and_not,
     _bits,
     _canonical,
     _column,
+    _height,
     _lift,
     _mask,
     _ones,
+    _ordinal,
+    _type_terms,
     _zip,
     cs_complement,
     cs_diff,
@@ -56,12 +61,10 @@ from .cubesets import (
     cs_inter,
     cs_is_empty,
     cs_is_full,
-    cs_order_type,
-    cs_union,
     cube_from_json,
     cube_to_json,
 )
-from .ordinals import LT, ZERO, OMEGA_OMEGA, Ordinal, omega_power, ord_add, ord_cmp
+from .ordinals import OMEGA_OMEGA, Ordinal
 
 Column = Union[CubeSet, bool]
 
@@ -80,8 +83,8 @@ class FinCof:
     """A finite or cofinite subset of the naturals.
 
     ``exceptions`` lists the members for the finite kind and the missing
-    elements for the cofinite kind, matching the wire format.  Complement
-    flips the kind and keeps the exceptions.
+    elements for the cofinite kind, matching the wire format.  Set algebra
+    runs on :meth:`to_natset`, a dimension-1 cube set.
     """
 
     kind: str
@@ -103,29 +106,6 @@ class FinCof:
 
     def __contains__(self, n: int) -> bool:
         return (n in self.exceptions) == (self.kind == "finite")
-
-    def complement(self) -> "FinCof":
-        other = "cofinite" if self.kind == "finite" else "finite"
-        return FinCof(other, self.exceptions)
-
-    def union(self, other: "FinCof") -> "FinCof":
-        return natset_to_fincof(cs_union(self.to_natset(), other.to_natset()))
-
-    def inter(self, other: "FinCof") -> "FinCof":
-        return natset_to_fincof(cs_inter(self.to_natset(), other.to_natset()))
-
-    def diff(self, other: "FinCof") -> "FinCof":
-        return natset_to_fincof(cs_diff(self.to_natset(), other.to_natset()))
-
-    def subset(self, other: "FinCof") -> bool:
-        return cs_is_empty(cs_diff(self.to_natset(), other.to_natset()))
-
-    def subset_star(self, other: "FinCof") -> bool:
-        """Almost-inclusion: the difference is finite."""
-        return not cs_fubini_positive(cs_diff(self.to_natset(), other.to_natset()))
-
-    def minus_initial(self, m: int) -> "FinCof":
-        return natset_to_fincof(cs_diff(self.to_natset(), _below(m)))
 
     def to_natset(self) -> CubeSet:
         bound = max(self.exceptions, default=-1) + 1
@@ -158,11 +138,6 @@ def natset(prefix_bits: Iterable[bool], cycle_bits: Iterable[bool] = (False,)) -
     if not cycle_bits:
         raise SchemaError("cycle must be nonempty")
     return CubeSet._masks(_mask(prefix_bits), len(prefix_bits), _mask(cycle_bits), len(cycle_bits))
-
-
-def _below(m: int) -> CubeSet:
-    """The naturals below m."""
-    return CubeSet._masks(_ones(m), m, 0, 1)
 
 
 def _members(mask: int) -> List[int]:
@@ -258,12 +233,6 @@ class LayeredSet:
     def column(self, n: int) -> Column:
         return _column(self.prefix, self.tail, n)
 
-    def column_type(self, n: int) -> Ordinal:
-        col = self.column(n)
-        if isinstance(col, bool):
-            return omega_power(n + 1) if col else ZERO
-        return cs_order_type(col)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayeredSet):
             return NotImplemented
@@ -329,16 +298,13 @@ def ls_diff(a: LayeredSet, b: LayeredSet) -> LayeredSet:
 
 
 def s_set_natset(a: LayeredSet, m: int) -> CubeSet:
-    """Exact S^m as a dimension-1 cube set: columns of type >= w^(m+1)."""
+    """Exact S^m as a dimension-1 cube set: columns of type >= w^(m+1),
+    so of height > m.  A full column n is w^(n+1), so full flags and the
+    tail lose the naturals below m."""
     if m < 0:
         raise RangeError("the level must be a natural number")
-    # A cube column n < m has type at most w^(n+1), below the threshold.
-    threshold = omega_power(m + 1)
-    bits = [
-        col if isinstance(col, bool) else n >= m and ord_cmp(cs_order_type(col), threshold) != LT
-        for n, col in enumerate(a.prefix)
-    ]
-    return cs_diff(natset(bits, a.tail), _below(m))
+    bits = [col if isinstance(col, bool) else _height(col) > m for col in a.prefix]
+    return cs_diff(natset(bits, a.tail), CubeSet._masks(_ones(m), m, 0, 1))
 
 
 def supp_natset(a: LayeredSet) -> CubeSet:
@@ -380,15 +346,18 @@ def ls_order_type(a: LayeredSet) -> Ordinal:
     """Order type of the set: the column types summed along the tower.
 
     Any full tail column pattern contributes cofinally many columns of
-    unbounded type, so the total collapses to w^w; otherwise the finite
-    prefix sum remains.
+    unbounded type, so the total collapses to w^w (x + w^w = w^w for x <
+    w^w); otherwise the prefix sum remains, summed on int CNF terms.
     """
-    total = ZERO
-    for n in range(len(a.prefix)):
-        total = ord_add(total, a.column_type(n))
     if any(a.tail):
-        total = ord_add(total, OMEGA_OMEGA)
-    return total
+        return OMEGA_OMEGA
+    total = []
+    for n, col in enumerate(a.prefix):
+        if col is True:
+            _add_terms(total, [(n + 1, 1)])
+        elif col is not False:
+            _add_terms(total, _type_terms(col))
+    return _ordinal(total)
 
 
 # -- reductions and fusion ------------------------------------------------------

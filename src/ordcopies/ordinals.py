@@ -336,26 +336,6 @@ def split_exponent(d: OrdinalLike) -> Tuple[Ordinal, int]:
     return limit, finite
 
 
-def left_difference(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
-    """The unique x with a + x = b, for a <= b.  Internal helper.
-
-    Not part of the public surface; subtraction is only needed to walk
-    enumerations of cube sets.
-    """
-    a, b = Ordinal(a), Ordinal(b)
-    c = ord_cmp(a, b)
-    if c == GT:
-        raise RangeError(f"{a} exceeds {b}; no left difference")
-    if c == EQ:
-        return ZERO
-    for i, ((ea, ca), (eb, cb)) in enumerate(zip(a.terms, b.terms)):
-        if ea != eb:
-            return Ordinal._make(b.terms[i:])
-        if ca != cb:
-            return Ordinal._make(((eb, cb - ca),) + b.terms[i + 1 :])
-    return Ordinal._make(b.terms[len(a.terms) :])
-
-
 # -- parsing -----------------------------------------------------------------
 
 

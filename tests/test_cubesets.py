@@ -2,7 +2,7 @@ import gc
 import itertools
 import random
 import time
-from functools import reduce
+from functools import lru_cache, reduce
 from math import lcm
 
 import pytest
@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from ordcopies import (
     CubeSet,
     DimensionError,
+    EQ,
+    GT,
     OMEGA,
     ONE,
     Ordinal,
@@ -38,16 +40,21 @@ from ordcopies import (
     natset,
     omega_power,
     ord_add,
+    ord_cmp,
     ord_mul,
     ord_to_point,
     parse_ordinal,
     point_to_ord,
 )
-from ordcopies.cubesets import _canonical, _whole_blocks
+from ordcopies.cubesets import _canonical, _minus, _whole_blocks
+from ordcopies.layered import s_set_natset
 from ordcopies.verify import (
     check_arithmetic_vs_lex,
     check_block_limit_table,
     random_cubeset,
+    random_layered,
+    random_ordinal,
+    random_segment_bound,
 )
 
 o = parse_ordinal
@@ -271,6 +278,11 @@ class TestEnumeration:
             assert cs_select(a, cs_rank(a, p)) == p
 
 
+def terms(alpha):
+    """The CNF terms of an ordinal below w^w, with int exponents."""
+    return [(int(e), c) for e, c in alpha.terms]
+
+
 def _whole_blocks_by_bisection(block, xi):
     """The doubling-and-bisection search the closed form replaced: the
     largest q with block * q <= xi."""
@@ -290,15 +302,12 @@ def _whole_blocks_by_bisection(block, xi):
 
 
 class TestWholeBlocks:
-    # Finite and infinite blocks, and remainders on both sides of theirs.
-    BLOCKS = "1 2 3 5 w w+1 w+3 w*2 w*2+3 w*3+1 w^(2) w^(2)+w*2+3 w^(2)*2+1 w^(3)*2+w w^(w)+w+1"
+    # Finite and infinite blocks, and remainders on both sides of theirs;
+    # blocks are term lists, so every exponent is a natural number.
+    BLOCKS = "1 2 3 5 w w+1 w+3 w*2 w*2+3 w*3+1 w^(2) w^(2)+w*2+3 w^(2)*2+1 w^(3)*2+w"
     REMAINDERS = "0 1 2 3 4 w w+1 w+3 w+4 w*2 w*2+3 w^(2) w^(2)+1 w^(2)+w*2 w^(2)+w*2+4 w^(5)"
 
-    def test_closed_form_matches_bisection(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the closed form multiplied ordinals")
-
-        monkeypatch.setattr("ordcopies.cubesets.ord_mul", refuse)
+    def test_closed_form_matches_bisection(self):
         pairs = 0
         for block in map(o, self.BLOCKS.split()):
             e = block.leading_exponent()
@@ -308,16 +317,17 @@ class TestWholeBlocks:
                 for d in range(13):
                     xi = omega_power(e, d) + s if d else s
                     assert xi < block * OMEGA
-                    assert _whole_blocks(block, xi) == _whole_blocks_by_bisection(block, xi)
+                    expected = _whole_blocks_by_bisection(block, xi)
+                    assert _whole_blocks(terms(block), terms(xi)) == expected
                     pairs += 1
         assert pairs > 1000
 
     def test_ties_on_the_leading_coefficient(self):
-        block = o("w*2+3")
-        assert _whole_blocks(block, o("w*4+1")) == 1
-        assert _whole_blocks(block, o("w*4+3")) == 2
-        assert _whole_blocks(block, o("w*4+4")) == 2
-        assert _whole_blocks(block, o("w+5")) == 0
+        block = [(1, 2), (0, 3)]
+        assert _whole_blocks(block, [(1, 4), (0, 1)]) == 1
+        assert _whole_blocks(block, [(1, 4), (0, 3)]) == 2
+        assert _whole_blocks(block, [(1, 4), (0, 4)]) == 2
+        assert _whole_blocks(block, [(1, 1), (0, 5)]) == 0
 
 
 class TestPointCodes:
@@ -550,8 +560,10 @@ class TestPeriodSearch:
 # -- order types on int exponents -------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def reference_order_type(a):
-    """The order type summed on Ordinal arithmetic, block sum and all."""
+    """The order type summed on Ordinal arithmetic, block sum and all;
+    cached, since the reference walks ask for the same columns again."""
     if a.dim == 0:
         return ONE if a.bit else ZERO
     if a.dim == 1:
@@ -590,16 +602,157 @@ class TestOrderTypeByHeight:
         assert cs_order_type(rest) == reference_order_type(rest)
 
     def test_no_ordinal_arithmetic(self, monkeypatch):
+        import ordcopies.cubesets as cubesets
+        import ordcopies.layered as layered
+
+        for module in (cubesets, layered):
+            for name in ("ord_add", "ord_mul", "left_difference"):
+                assert not hasattr(module, name), f"{module.__name__} has {name}"
+        assert not hasattr(layered, "cs_order_type")
+
         sets = [TALL_PREFIX, cs_complement(TALL_PREFIX), reduce(cs_union, coprime_sets(3))]
         sets += [random_cubeset(random.Random(i), 1 + i % 4) for i in range(50)]
         expected = [reference_order_type(a) for a in sets]
+        rng = random.Random("no-ordinal-arithmetic")
+        towers = [random_layered(rng, cyclic_tails=True) for _ in range(200)]
+        levels = [[s_set_natset(a, m) for m in range(5)] for a in towers]
 
         def refuse(*args):
-            raise AssertionError("ordinal arithmetic in cs_order_type")
+            raise AssertionError("ordinal arithmetic on the set path")
 
-        monkeypatch.setattr("ordcopies.cubesets.ord_add", refuse)
-        monkeypatch.setattr("ordcopies.cubesets.omega_power", refuse)
+        monkeypatch.setattr(cubesets, "omega_power", refuse)
         assert [cs_order_type(a) for a in sets] == expected
+        # S^m reads heights, so it answers without any order type.
+        monkeypatch.setattr(cubesets, "cs_order_type", refuse)
+        assert [[s_set_natset(a, m) for m in range(5)] for a in towers] == levels
+
+
+# -- select and rank against the Ordinal walk that term lists replaced --------------
+
+
+def reference_left_difference(a, b):
+    """The unique x with a + x = b, for a <= b, on Ordinal terms."""
+    c = ord_cmp(a, b)
+    if c == GT:
+        raise RangeError(f"{a} exceeds {b}; no left difference")
+    if c == EQ:
+        return ZERO
+    for i, ((ea, ca), (eb, cb)) in enumerate(zip(a.terms, b.terms)):
+        if ea != eb:
+            return Ordinal._make(b.terms[i:])
+        if ca != cb:
+            return Ordinal._make(((eb, cb - ca),) + b.terms[i + 1 :])
+    return Ordinal._make(b.terms[len(a.terms) :])
+
+
+def reference_block_type(a):
+    block = ZERO
+    for col in a.cycle:
+        block = ord_add(block, reference_order_type(col))
+    return block
+
+
+def reference_select(a, xi):
+    """The xi-th member by the column walk on Ordinal arithmetic, at every
+    dimension (a subset of w walks its leaves)."""
+    if a.dim == 0:
+        return ()
+    for i, col in enumerate(a.prefix):
+        t = reference_order_type(col)
+        if xi < t:
+            return (i,) + reference_select(col, xi)
+        xi = reference_left_difference(t, xi)
+    block = reference_block_type(a)
+    skipped = _whole_blocks_by_bisection(block, xi)
+    xi = reference_left_difference(ord_mul(block, skipped), xi)
+    base = len(a.prefix) + skipped * len(a.cycle)
+    for j, col in enumerate(a.cycle):
+        t = reference_order_type(col)
+        if xi < t:
+            return (base + j,) + reference_select(col, xi)
+        xi = reference_left_difference(t, xi)
+    raise AssertionError("selection walked past its bound")
+
+
+def reference_rank(a, point):
+    if a.dim == 0:
+        return ZERO
+    i = point[0]
+    explicit = len(a.prefix)
+    total = ZERO
+    for col in a.prefix[: min(i, explicit)]:
+        total = ord_add(total, reference_order_type(col))
+    if i > explicit:
+        whole, partial = divmod(i - explicit, len(a.cycle))
+        total = ord_add(total, ord_mul(reference_block_type(a), whole))
+        for j in range(partial):
+            total = ord_add(total, reference_order_type(a.cycle[j]))
+    return ord_add(total, reference_rank(a.column(i), point[1:]))
+
+
+@st.composite
+def cnf_terms(draw):
+    """An ordinal below w^w as int CNF terms; few exponents, so that pairs
+    often share leading terms."""
+    exponents = draw(st.lists(st.integers(0, 3), max_size=4, unique=True))
+    return [(e, draw(st.integers(1, 3))) for e in sorted(exponents, reverse=True)]
+
+
+seeded_ordinals = st.builds(
+    lambda seed: random_ordinal(random.Random(seed), depth=2), st.integers(0, 2**32 - 1)
+)
+
+
+class TestSelectRankReference:
+    def check(self, a, indices):
+        """cs_select and cs_rank against the references on each index below
+        the type; returns how many were checked."""
+        t = cs_order_type(a)
+        checked = 0
+        for xi in indices:
+            if not xi < t:
+                continue
+            p = cs_select(a, xi)
+            assert p == reference_select(a, xi)
+            assert cs_rank(a, p) == reference_rank(a, p) == xi
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_random_sets(self, dim):
+        rng = random.Random(f"select-rank:{dim}")
+        checked = 0
+        for _ in range(150):
+            a = random_cubeset(rng, dim)
+            checked += self.check(a, [random_segment_bound(rng, dim) for _ in range(8)])
+        assert checked > 300
+
+    def test_tall_prefix_and_coprime_fold(self):
+        rng = random.Random("select-rank:fold")
+        sets = [TALL_PREFIX, cs_complement(TALL_PREFIX)]
+        sets += [reduce(cs_union, coprime_sets(dim)) for dim in (2, 3)]
+        for a in sets:
+            indices = [random_segment_bound(rng, a.dim) for _ in range(40)]
+            assert self.check(a, indices) > 10
+
+    @given(cnf_terms(), cnf_terms())
+    @settings(max_examples=300)
+    def test_list_order_and_minus(self, x, y):
+        a, b = Ordinal.from_terms(x), Ordinal.from_terms(y)
+        assert ((x > y) - (x < y)) == ord_cmp(a, b)
+        for lo, hi, lo_terms, hi_terms in ((a, b, x, y), (b, a, y, x)):
+            if lo <= hi:
+                assert _minus(lo_terms, hi_terms) == terms(reference_left_difference(lo, hi))
+        for k in range(len(x) + 1):
+            assert _minus(x[:k], x) == x[k:]
+
+    @given(seeded_ordinals, seeded_ordinals)
+    def test_left_difference_recombines(self, a, b):
+        if a <= b:
+            assert ord_add(a, reference_left_difference(a, b)) == b
+        else:
+            with pytest.raises(RangeError):
+                reference_left_difference(a, b)
 
 
 # -- the per-call apply cache, without timing ---------------------------------------

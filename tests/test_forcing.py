@@ -158,7 +158,7 @@ class TestRendering:
         not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
         reason="needs the default int-string limit",
     )
-    @pytest.mark.parametrize("fmt", ["text", "latex"])
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
     def test_a_number_past_the_int_limit_is_a_range_error(self, fmt):
         big = 10**5000
         for expr in (Power(BASE, big), PositivePart(ReducedPowerIter(QuotientAlgebra(ONE), big))):

@@ -10,15 +10,16 @@ from ordcopies import (
     FinCof,
     FusionPreconditionError,
     IdealError,
-    LT,
     LayeredSet,
     OMEGA_OMEGA,
     SchemaError,
+    ZERO,
     cs_empty,
     cs_full,
     cs_inter,
     cs_is_empty,
     cs_member,
+    cs_order_type,
     layered_from_json,
     layered_to_json,
     ls_diff,
@@ -34,7 +35,7 @@ from ordcopies import (
     natset,
     natset_to_fincof,
     omega_power,
-    ord_cmp,
+    ord_add,
     parse_ordinal,
 )
 from ordcopies.layered import s_set_natset
@@ -66,24 +67,6 @@ class TestFinCof:
         assert 4 not in FinCof.finite({3, 5})
         assert 4 in FinCof.cofinite({3, 5})
         assert 3 not in FinCof.cofinite({3, 5})
-
-    def test_complement_flips_kind(self):
-        a = FinCof.finite({1, 2})
-        assert a.complement() == FinCof.cofinite({1, 2})
-        assert a.complement().complement() == a
-
-    def test_algebra(self):
-        a = FinCof.finite({1, 2, 3})
-        b = FinCof.cofinite({2, 4})
-        assert a.union(b) == FinCof.cofinite({4})
-        assert a.inter(b) == FinCof.finite({1, 3})
-        assert b.diff(a) == FinCof.cofinite({1, 2, 3, 4})
-        assert a.subset(a.union(b))
-        assert b.subset_star(FinCof.cofinite({9}))
-        assert not FinCof.cofinite().subset_star(a)
-
-    def test_minus_initial(self):
-        assert FinCof.cofinite().minus_initial(3) == FinCof.cofinite({0, 1, 2})
 
     def test_natset_round_trip(self):
         for fc in (FinCof.finite({0, 4}), FinCof.cofinite({1, 2}), FinCof.finite()):
@@ -139,15 +122,62 @@ class TestCanonicalBooleanResults:
         assert layered_to_json(union) == {"prefix": ["full"], "tail": "empty"}
 
 
+def in_level(a, m, n):
+    """Column n of a is in S^m, by its order type: a full flag column n is
+    w^(n+1), and a cube column reaches w^(m+1) or not."""
+    col = a.column(n)
+    if isinstance(col, bool):
+        return col and n >= m
+    return cs_order_type(col) >= omega_power(m + 1)
+
+
+def reference_order_type(a):
+    """The tower's order type as the Ordinal sum of its column types."""
+    total = ZERO
+    for n, col in enumerate(a.prefix):
+        if isinstance(col, bool):
+            col_type = omega_power(n + 1) if col else ZERO
+        else:
+            col_type = cs_order_type(col)
+        total = ord_add(total, col_type)
+    if any(a.tail):
+        total = ord_add(total, OMEGA_OMEGA)
+    return total
+
+
+class TestByHeight:
+    """S^m reads heights and the tower's type sums int terms; both against
+    the order-type route, on seeded sets with cyclic tails."""
+
+    SETS = 2048
+
+    def test_level_sets_against_order_types(self):
+        rng = random.Random("s-set-by-height")
+        checked = 0
+        for _ in range(self.SETS):
+            a = random_layered(rng, cyclic_tails=True)
+            # Past the prefix and every level, the tail repeats.
+            columns = len(a.prefix) + 6 + 2 * len(a.tail)
+            for m in range(6):
+                s_m = s_set_natset(a, m)
+                assert [cs_member(s_m, [n]) for n in range(columns)] == [
+                    in_level(a, m, n) for n in range(columns)
+                ]
+                checked += 1
+        assert checked == 6 * self.SETS
+
+    def test_order_type_against_the_ordinal_sum(self):
+        rng = random.Random("ls-order-type")
+        for _ in range(self.SETS):
+            a = random_layered(rng, cyclic_tails=True)
+            assert ls_order_type(a) == reference_order_type(a)
+
+
 class TestUnalignedPeriods:
     """Level sets and fusion on tails whose period does not divide the
     index set's cycle, checked column by column against the definitions."""
 
     COLUMNS = 60
-
-    @staticmethod
-    def in_level(a, m, n):
-        return ord_cmp(a.column_type(n), omega_power(m + 1)) != LT
 
     def test_level_sets_against_coprime_index(self):
         # Tail period 3 against an index cycle of period 2 (lcm 6), with
@@ -157,8 +187,8 @@ class TestUnalignedPeriods:
             s_m = s_set_natset(a, m)
             even_part = cs_inter(EVENS, s_m)
             for n in range(self.COLUMNS):
-                assert cs_member(s_m, [n]) == self.in_level(a, m, n)
-                assert cs_member(even_part, [n]) == (n % 2 == 0 and self.in_level(a, m, n))
+                assert cs_member(s_m, [n]) == in_level(a, m, n)
+                assert cs_member(even_part, [n]) == (n % 2 == 0 and in_level(a, m, n))
 
     def test_fusion_against_longer_index_cycle(self):
         # The index set must lie almost inside every level set, so a cycle
@@ -171,7 +201,7 @@ class TestUnalignedPeriods:
         result = ls_fusion([first, last], index)
         for n in range(self.COLUMNS):
             surviving = cs_member(index, [n]) and all(
-                self.in_level(a, m, n) for a in (first, last) for m in range(2)
+                in_level(a, m, n) for a in (first, last) for m in range(2)
             )
             assert result.column(n) == (last.column(n) if surviving else False)
 
@@ -256,7 +286,8 @@ class TestIdealMembership:
             raise AssertionError("ideal membership built a level set or an order type")
 
         monkeypatch.setattr("ordcopies.layered.s_set_natset", refuse)
-        monkeypatch.setattr("ordcopies.layered.cs_order_type", refuse)
+        monkeypatch.setattr("ordcopies.layered._height", refuse)
+        monkeypatch.setattr("ordcopies.layered._type_terms", refuse)
         assert [ls_in_ideal(a) for a in samples] == expected
 
 

@@ -23,7 +23,6 @@ from ordcopies import (
     parse_ordinal,
     split_exponent,
 )
-from ordcopies.ordinals import left_difference
 
 o = parse_ordinal
 
@@ -203,16 +202,6 @@ class TestSplitExponent:
         gamma, r = split_exponent(d)
         assert gamma == ONE or gamma.is_limit()
         assert ord_add(gamma, r) == d
-
-
-class TestLeftDifference:
-    @given(ordinals(), ordinals())
-    def test_recombines(self, a, b):
-        if a <= b:
-            assert ord_add(a, left_difference(a, b)) == b
-        else:
-            with pytest.raises(RangeError):
-                left_difference(a, b)
 
 
 class TestParsing:
