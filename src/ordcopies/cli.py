@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, InputFormatError, PosetFormatError
+from .errors import DomainError, InputFormatError
 
 # Each `_run_*` and `_load_*` imports the modules its command needs, so only
 # `poset` loads numpy and only `verify` loads the suites.  Their names are
@@ -154,11 +154,7 @@ def _load_index_set(path: str):
 def _load_poset(path: str):
     from .posets import poset_from_text
 
-    text = _read(path)
-    size = next((line.strip() for line in text.splitlines() if line.strip()), "")
-    if not size.isascii():  # the reader's int() takes any Unicode digit
-        raise PosetFormatError(f"first line must be the size, got {size!r}")
-    return poset_from_text(text)
+    return poset_from_text(_read(path))
 
 
 def _bool_text(value: bool) -> str:
@@ -206,7 +202,7 @@ def _run_ord(args) -> str:
 
 def _run_set(args) -> str:
     from .cubesets import cs_fubini_positive, cs_is_copy, cs_member, cs_order_type, cs_select
-    from .ordinals import parse_ordinal
+    from .ordinals import _json_text, parse_ordinal
 
     a = _load_cube(args.file)
     if args.op == "member":
@@ -220,7 +216,7 @@ def _run_set(args) -> str:
         return _bool_text(not cs_fubini_positive(a)) + "\n"
     if args.op == "select":
         xi = parse_ordinal(args.xi)
-        return json.dumps(list(cs_select(a, xi))) + "\n"
+        return _json_text(list(cs_select(a, xi))) + "\n"
     if args.op == "copy":
         return _bool_text(cs_is_copy(a, parse_ordinal(args.alpha))) + "\n"
     raise AssertionError(args.op)

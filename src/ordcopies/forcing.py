@@ -25,7 +25,6 @@ Text format examples: ``(P(w)/fin)^+``, ``(rp(P(w)/fin))^+``,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -38,7 +37,7 @@ from .ordinals import (
     OrdinalLike,
     _Parser,
     _digits,
-    _int_max_str_digits,
+    _json_text,
     ord_add,
     ord_cmp,
     ord_mul,
@@ -313,12 +312,7 @@ def render_expr(e: ForcingExpr, fmt: str = "text") -> str:
     if fmt == "latex":
         return _latex(e)
     if fmt == "json":
-        try:
-            return json.dumps(expr_to_json(e))
-        except ValueError:  # an int past the int-string limit, as in _digits
-            raise RangeError(
-                f"a number of more than {_int_max_str_digits()} digits is too long to print"
-            ) from None
+        return _json_text(expr_to_json(e))
     raise SchemaError(f"unknown format {fmt!r}")
 
 

@@ -20,6 +20,12 @@ They are finite or cofinite whenever the tail is uniform and are returned
 as :class:`FinCof`; for properly periodic tails the exact answer is
 returned as a dimension-1 cube set instead.
 
+Almost-inclusion is read off the tails.  Every S^m, and the support, agrees
+with the set of the tail's full columns from some column on: the prefix
+has finitely many columns, and a full column n lies in S^m iff n >= m.  So
+``s ⊆* S^m`` (s minus S^m finite) has one answer for every m, and whether
+a - b lies in the ideal depends on the two tails alone.
+
 JSON schema: ``{"prefix": [column...], "tail": "empty"|"full"}`` where a
 column is a cube-set object of dimension n+1 or the strings "empty"/"full";
 a cyclic tail may be given as a list of those strings.  FinCof values are
@@ -28,6 +34,7 @@ a cyclic tail may be given as a list of those strings.  FinCof values are
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Union
@@ -338,8 +345,19 @@ def ls_in_ideal(a: LayeredSet) -> bool:
 
 
 def ls_subset_ideal(a: LayeredSet, b: LayeredSet) -> bool:
-    """Inclusion modulo the ideal: the difference lies in the ideal."""
-    return ls_in_ideal(ls_diff(a, b))
+    """Inclusion modulo the ideal: the difference a - b lies in the ideal.
+
+    The tails decide it.  Tail position x of ``a`` recurs at the columns
+    ``len(a.prefix) + x`` mod ``len(a.tail)``, and tail position y of ``b``
+    at ``len(b.prefix) + y`` mod ``len(b.tail)``; by the Chinese remainder
+    theorem the two share infinitely many columns iff those starts agree
+    mod g, the gcd of the tail lengths.  So a - b has a full tail column,
+    and leaves the ideal, iff a full position of ``a.tail`` shares its
+    residue mod g with an empty position of ``b.tail``.
+    """
+    g = math.gcd(len(a.tail), len(b.tail))
+    full = {(len(a.prefix) + x) % g for x, bit in enumerate(a.tail) if bit}
+    return not any((len(b.prefix) + y) % g in full for y, bit in enumerate(b.tail) if not bit)
 
 
 def ls_order_type(a: LayeredSet) -> Ordinal:
@@ -366,25 +384,25 @@ def ls_order_type(a: LayeredSet) -> Ordinal:
 def ls_is_reduction(s: Union[FinCof, CubeSet], a: LayeredSet, m_max: int) -> bool:
     """Truncated reduction test: s is almost contained in S^m for m <= m_max.
 
-    Tail periodicity makes each S^m differ from the tail support only
-    finitely, so the truncated test is exact for represented sets.
+    Each S^m differs from the support only in finitely many columns (the
+    tail's full columns from some column on make up both), so one test
+    against the support answers for every level, and the truncated test is
+    exact for represented sets.
     """
     if ls_in_ideal(a):
         raise IdealError("reduction is only defined against a positive set")
     index = as_natset(s)
-    for m in range(m_max + 1):
-        if cs_fubini_positive(cs_diff(index, s_set_natset(a, m))):
-            return False
-    return True
+    return m_max < 0 or not cs_fubini_positive(cs_diff(index, supp_natset(a)))
 
 
 def ls_fusion(a_list: Sequence[LayeredSet], s: Union[FinCof, CubeSet]) -> LayeredSet:
     """The fused set: the last input restricted to the surviving columns.
 
     With r the last index, the surviving columns are the members of s that
-    lie in every S^m of every input for m, n <= r.  Preconditions: every
-    input is positive, s is infinite, and s is almost contained in every
-    such S^m; violations name the failing (m, n).
+    lie in every S^m of every input for m, n <= r; as S^0 ⊇ S^1 ⊇ ... ⊇ S^r,
+    that is every S^r.  Preconditions: every input is positive, s is
+    infinite, and s is almost contained in every such S^m; violations name
+    the failing (m, n).
     """
     if not a_list:
         raise RangeError("fusion needs at least one layered set")
@@ -396,15 +414,15 @@ def ls_fusion(a_list: Sequence[LayeredSet], s: Union[FinCof, CubeSet]) -> Layere
     for n, a in enumerate(a_list):
         if ls_in_ideal(a):
             raise FusionPreconditionError(f"input {n} lies in the ideal", n=n)
-        for m in range(r + 1):
-            s_m = s_set_natset(a, m)
-            if cs_fubini_positive(cs_diff(index, s_m)):
-                raise FusionPreconditionError(
-                    f"index set is not almost contained in S^{m} of input {n}",
-                    m=m,
-                    n=n,
-                )
-            surviving = cs_inter(surviving, s_m)
+        s_r = s_set_natset(a, r)
+        # Every S^m agrees with the tail's full columns from some column
+        # on, so s is almost inside all of S^0 ... S^r or inside none of
+        # them: the first failing level is always 0.
+        if cs_fubini_positive(cs_diff(index, s_r)):
+            raise FusionPreconditionError(
+                f"index set is not almost contained in S^0 of input {n}", m=0, n=n
+            )
+        surviving = cs_inter(surviving, s_r)
     _check_prefix_cap(surviving._plen)
     as_flags = LayeredSet._raw(
         tuple(d == "1" for d in _bits(surviving._prefix, surviving._plen)),

@@ -20,6 +20,7 @@ int-string limit (``sys.get_int_max_str_digits()``) is refused.
 
 from __future__ import annotations
 
+import json
 import sys
 from typing import Iterable, Tuple, Union
 
@@ -174,15 +175,26 @@ class Ordinal:
         return " + ".join(_term_latex(e, c) for e, c in self._terms)
 
 
+def _too_long() -> RangeError:
+    return RangeError(f"a number of more than {_int_max_str_digits()} digits is too long to print")
+
+
 def _digits(n: int) -> str:
     """The decimal text of an integer; one longer than the interpreter's
     int-string limit is a RangeError, not a ValueError."""
     try:
         return str(n)
     except ValueError:
-        raise RangeError(
-            f"a number of more than {_int_max_str_digits()} digits is too long to print"
-        ) from None
+        raise _too_long() from None
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value)``; an integer in it longer than the int-string
+    limit is the RangeError of :func:`_digits`, not a ValueError."""
+    try:
+        return json.dumps(value)
+    except ValueError:
+        raise _too_long() from None
 
 
 def _term_text(exponent: Ordinal, coeff: int) -> str:
@@ -252,21 +264,23 @@ def ord_add(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
 
 
 def ord_mul(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
-    """Ordinal product (order type of ``b`` many copies of ``a``)."""
+    """Ordinal product (order type of ``b`` many copies of ``a``).
+
+    By left distributivity it is a * w^e * c = w^(lead + e) * c for each
+    infinite term of ``b`` (lead being ``a``'s leading exponent), then
+    ``a`` with its leading coefficient times ``b``'s finite part.  The
+    exponents lead + e strictly decrease and stay above lead, so the terms
+    concatenate into normal form.
+    """
     a, b = Ordinal(a), Ordinal(b)
     if not a.terms or not b.terms:
         return ZERO
-    lead = a.terms[0][0]
-    result = ZERO
-    for exponent, coeff in b.terms:
-        if exponent.is_zero():
-            # a * n multiplies only the leading coefficient.
-            scaled = ((lead, a.terms[0][1] * coeff),) + a.terms[1:]
-            part = Ordinal._make(scaled)
-        else:
-            part = omega_power(ord_add(lead, exponent), coeff)
-        result = ord_add(result, part)
-    return result
+    lead, coeff = a.terms[0]
+    terms = tuple((ord_add(lead, e), c) for e, c in b.terms if e)
+    n = b.natural_part()
+    if n:
+        terms += ((lead, coeff * n),) + a.terms[1:]
+    return Ordinal._make(terms)
 
 
 def _pow_finite(a: Ordinal, n: int) -> Ordinal:

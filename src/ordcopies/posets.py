@@ -223,6 +223,8 @@ def poset_from_text(text: str) -> FinPoset:
     if not lines:
         raise PosetFormatError("empty poset file")
     try:
+        if not lines[0].isascii():  # int() takes any Unicode digit
+            raise ValueError
         size = int(lines[0])
     except ValueError:
         raise PosetFormatError(f"first line must be the size, got {lines[0]!r}") from None

@@ -119,6 +119,19 @@ class TestSetCommands:
         assert run(["set", "select", "--file", path, "w*2+3"]).stdout == "[2, 3]\n"
         assert run(["set", "copy", "--file", path, "w^(2)"]).stdout == "true\n"
 
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="needs the default int-string limit",
+    )
+    def test_select_past_the_int_limit_exits_1(self, tmp_path):
+        # The index is within the digit cap; the selected coordinate, about
+        # three times the index on a set with one member in three, is not.
+        limit = sys.get_int_max_str_digits()
+        path = write_json(tmp_path, "thirds.json", {"dim": 1, "prefix": [], "cycle": [1, 0, 0]})
+        result = run(["set", "select", "--file", path, "9" * limit])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"error: a number of more than {limit} digits is too long to print\n"
+
     def test_domain_error_exits_1(self, tmp_path):
         path = write_json(tmp_path, "empty.json", {"dim": 1, "prefix": [], "cycle": [0]})
         result = run(["set", "select", "--file", path, "0"])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,13 @@ from ordcopies import (
     IdealError,
     LayeredSet,
     OMEGA_OMEGA,
+    OrdcopiesError,
+    RangeError,
     SchemaError,
     ZERO,
+    cs_diff,
     cs_empty,
+    cs_fubini_positive,
     cs_full,
     cs_inter,
     cs_is_empty,
@@ -38,7 +43,8 @@ from ordcopies import (
     ord_add,
     parse_ordinal,
 )
-from ordcopies.layered import s_set_natset
+from ordcopies.cubesets import _bits
+from ordcopies.layered import _check_prefix_cap, as_natset, s_set_natset, supp_natset
 from ordcopies.verify import (
     check_fusion_claims,
     check_ideal_consistency,
@@ -368,6 +374,153 @@ class TestFusion:
             assert not ls_in_ideal(inner)
             assert not ls_in_ideal(outer)
             assert ls_subset_ideal(outer, inner)
+
+
+def random_index(rng):
+    """A seeded dimension-1 index set, prefix and cycle of random lengths."""
+    prefix = [rng.random() < 0.5 for _ in range(rng.randint(0, 5))]
+    return natset(prefix, [rng.random() < 0.7 for _ in range(rng.randint(1, 6))])
+
+
+def almost_inside(index, level):
+    return not cs_fubini_positive(cs_diff(index, level))
+
+
+def reference_is_reduction(s, a, m_max):
+    """The level-by-level reduction test that the tail reading replaced."""
+    if ls_in_ideal(a):
+        raise IdealError("reduction is only defined against a positive set")
+    index = as_natset(s)
+    for m in range(m_max + 1):
+        if cs_fubini_positive(cs_diff(index, s_set_natset(a, m))):
+            return False
+    return True
+
+
+def reference_fusion(a_list, s):
+    """Fusion with every level set S^0 ... S^r of every input, tested and
+    intersected one by one, as it ran before the tail reading."""
+    if not a_list:
+        raise RangeError("fusion needs at least one layered set")
+    r = len(a_list) - 1
+    index = as_natset(s)
+    if not cs_fubini_positive(index):
+        raise IdealError("fusion requires an infinite index set")
+    surviving = index
+    for n, a in enumerate(a_list):
+        if ls_in_ideal(a):
+            raise FusionPreconditionError(f"input {n} lies in the ideal", n=n)
+        for m in range(r + 1):
+            s_m = s_set_natset(a, m)
+            if cs_fubini_positive(cs_diff(index, s_m)):
+                raise FusionPreconditionError(
+                    f"index set is not almost contained in S^{m} of input {n}",
+                    m=m,
+                    n=n,
+                )
+            surviving = cs_inter(surviving, s_m)
+    _check_prefix_cap(surviving._plen)
+    as_flags = LayeredSet._raw(
+        tuple(d == "1" for d in _bits(surviving._prefix, surviving._plen)),
+        tuple(d == "1" for d in _bits(surviving._cycle, surviving._clen)),
+    )
+    return ls_inter(a_list[r], as_flags)
+
+
+def outcome(f, *args):
+    """The result of ``f``, or its error as (type, message, m, n)."""
+    try:
+        return f(*args)
+    except OrdcopiesError as exc:
+        return type(exc), str(exc), getattr(exc, "m", None), getattr(exc, "n", None)
+
+
+class TestAlmostInclusionOffTheTails:
+    """Every S^m agrees with the tail's full columns from some column on, so
+    almost-inclusion in S^m has one answer for all m; the reductions,
+    fusion and inclusion modulo the ideal read it once."""
+
+    CASES = 600
+
+    def test_level_independence(self):
+        rng = random.Random("level-independence")
+        answers = set()
+        for _ in range(self.CASES):
+            a = random_layered(rng, cyclic_tails=True)
+            index = random_index(rng)
+            levels = {almost_inside(index, s_set_natset(a, m)) for m in range(7)}
+            assert levels == {almost_inside(index, supp_natset(a))}
+            answers |= levels
+        assert answers == {False, True}
+
+    def test_reduction_against_the_level_loop(self):
+        rng = random.Random("reduction-reference")
+        seen = set()
+        for _ in range(self.CASES):
+            a = random_layered(rng, cyclic_tails=True)
+            index = random_index(rng)
+            m_max = rng.randint(-2, 5)
+            expected = outcome(reference_is_reduction, index, a, m_max)
+            assert outcome(ls_is_reduction, index, a, m_max) == expected
+            seen.add(expected if isinstance(expected, bool) else expected[0])
+        assert seen == {False, True, IdealError}
+
+    def test_fusion_against_the_level_loop(self):
+        rng = random.Random("fusion-reference")
+        seen = set()
+        for i in range(self.CASES):
+            sets, index = random_fusion_instance(rng)
+            if i % 3 == 1:
+                sets = [random_layered(rng, cyclic_tails=True) for _ in range(rng.randint(1, 4))]
+            if i % 4 == 2:
+                index = random_index(rng)
+            expected = outcome(reference_fusion, sets, index)
+            assert outcome(ls_fusion, sets, index) == expected
+            seen.add(type(expected) if isinstance(expected, LayeredSet) else expected[0])
+        assert seen == {LayeredSet, FusionPreconditionError, IdealError}
+
+    def test_subset_ideal_builds_no_difference(self, monkeypatch):
+        rng = random.Random("subset-off-tails")
+        pairs = [
+            (random_layered(rng, cyclic_tails=True), random_layered(rng, cyclic_tails=True))
+            for _ in range(self.CASES)
+        ]
+        expected = [ls_in_ideal(ls_diff(a, b)) for a, b in pairs]
+        assert set(expected) == {False, True}
+
+        def refuse(*args):
+            raise AssertionError("inclusion modulo the ideal aligned the two sets")
+
+        monkeypatch.setattr("ordcopies.layered.ls_diff", refuse)
+        monkeypatch.setattr("ordcopies.layered._zip", refuse)
+        monkeypatch.setattr("ordcopies.cubesets._zip", refuse)
+        assert [ls_subset_ideal(a, b) for a, b in pairs] == expected
+
+    def test_fusion_builds_one_level_set_per_input(self, monkeypatch):
+        rng = random.Random("fusion-one-level")
+        calls = []
+
+        def counted(a, m):
+            calls.append(m)
+            return s_set_natset(a, m)
+
+        monkeypatch.setattr("ordcopies.layered.s_set_natset", counted)
+        for _ in range(60):
+            sets, index = random_fusion_instance(rng)
+            calls.clear()
+            ls_fusion(sets, index)
+            assert calls == [len(sets) - 1] * len(sets)
+
+    def test_coprime_tails_answer_at_once(self):
+        # Tails of lengths 3001 and 3003 align only over about 9 million
+        # columns; their gcd is 1, so every position meets every other.
+        a = LayeredSet.make((), (True,) + (False,) * 3000)
+        b = LayeredSet.make((), (True,) + (False,) * 3002)
+        start = time.process_time()
+        answers = (ls_subset_ideal(a, b), ls_subset_ideal(b, a), ls_subset_ideal(a, a))
+        elapsed = time.process_time() - start
+        assert answers == (False, False, True)
+        assert elapsed < 0.1
 
 
 class TestOrderType:

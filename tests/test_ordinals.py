@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,25 @@ class TestAddition:
         assert ord_add(a, b) >= a
 
 
+def reference_mul(a, b):
+    """The product as a sum of one ord_add per term of ``b``, as ord_mul
+    computed it before it concatenated the terms."""
+    a, b = Ordinal(a), Ordinal(b)
+    if not a.terms or not b.terms:
+        return ZERO
+    lead = a.terms[0][0]
+    result = ZERO
+    for exponent, coeff in b.terms:
+        if exponent.is_zero():
+            # a * n multiplies only the leading coefficient.
+            scaled = ((lead, a.terms[0][1] * coeff),) + a.terms[1:]
+            part = Ordinal._make(scaled)
+        else:
+            part = omega_power(ord_add(lead, exponent), coeff)
+        result = ord_add(result, part)
+    return result
+
+
 class TestMultiplication:
     def test_by_zero(self):
         assert ord_mul(OMEGA, 0) == ZERO
@@ -110,6 +130,22 @@ class TestMultiplication:
     @settings(max_examples=60)
     def test_left_distributive(self, a, b, c):
         assert ord_mul(a, ord_add(b, c)) == ord_add(ord_mul(a, b), ord_mul(a, c))
+
+    @given(ordinals(depth=2), ordinals(depth=2))
+    @settings(max_examples=300)
+    def test_matches_the_sum_of_parts(self, a, b):
+        product = ord_mul(a, b)
+        assert product.terms == reference_mul(a, b).terms
+        assert str(product) == str(reference_mul(a, b))
+
+    def test_long_finite_power_is_linear(self):
+        # (w+1)^n has n+1 terms; a product that re-adds each term is
+        # quadratic in n.
+        start = time.process_time()
+        result = ord_pow(o("w+1"), 2000)
+        elapsed = time.process_time() - start
+        assert len(result.terms) == 2001
+        assert elapsed < 1.0
 
 
 class TestPower:

@@ -171,3 +171,10 @@ class TestTextFormat:
     def test_rejects(self, text):
         with pytest.raises(PosetFormatError):
             poset_from_text(text)
+
+    @pytest.mark.parametrize("size", ["\u0663", "\uff13"])  # ARABIC-INDIC and FULLWIDTH THREE
+    def test_size_line_is_ascii(self, size):
+        # int() reads both as 3, and the rows below would make a valid poset.
+        with pytest.raises(PosetFormatError) as exc:
+            poset_from_text(size + "\n100\n010\n001\n")
+        assert str(exc.value) == f"first line must be the size, got {size!r}"
