@@ -240,17 +240,18 @@ class CubeSet:
         cycle = tuple(cycle)
         if not cycle:
             raise SchemaError("cycle must be nonempty")
-        if not all(isinstance(child, CubeSet) for child in prefix + cycle):
+        dims = {child.dim if isinstance(child, CubeSet) else None for child in prefix + cycle}
+        if None in dims:
             raise SchemaError("cube-set children must be cube sets")
-        if any(child.dim != cycle[0].dim for child in prefix + cycle):
+        if len(dims) > 1:
             raise DimensionError("all children must share a dimension")
         dim = cycle[0].dim + 1
-        if dim > config.dim_cap():
-            raise CapError(f"dimension {dim} exceeds the cap {config.dim_cap()}")
+        cap = config.dim_cap()
+        if dim > cap:
+            raise CapError(f"dimension {dim} exceeds the cap {cap}")
         if dim == 1:
             return cls._masks(_leaf_mask(prefix), len(prefix), _leaf_mask(cycle), len(cycle))
-        prefix, cycle = _canonical(prefix, cycle)
-        return cls._raw(dim, None, prefix, len(prefix), cycle, len(cycle))
+        return _node(dim, prefix, cycle)
 
     @property
     def prefix(self) -> Tuple["CubeSet", ...]:

@@ -61,6 +61,7 @@ from .cubesets import (
     _ones,
     _ordinal,
     _type_terms,
+    _unroll,
     _zip,
     cs_complement,
     cs_diff,
@@ -307,11 +308,14 @@ def ls_diff(a: LayeredSet, b: LayeredSet) -> LayeredSet:
 def s_set_natset(a: LayeredSet, m: int) -> CubeSet:
     """Exact S^m as a dimension-1 cube set: columns of type >= w^(m+1),
     so of height > m.  A full column n is w^(n+1), so full flags and the
-    tail lose the naturals below m."""
+    tail lose the naturals below m: the stream is unrolled past column m
+    and its low m bits cleared."""
     if m < 0:
         raise RangeError("the level must be a natural number")
-    bits = [col if isinstance(col, bool) else _height(col) > m for col in a.prefix]
-    return cs_diff(natset(bits, a.tail), CubeSet._masks(_ones(m), m, 0, 1))
+    s = natset([col if isinstance(col, bool) else _height(col) > m for col in a.prefix], a.tail)
+    explicit = max(s._plen, m)
+    pmask, cmask = _unroll(s, explicit, s._clen)
+    return CubeSet._masks(pmask >> m << m, explicit, cmask, s._clen)
 
 
 def supp_natset(a: LayeredSet) -> CubeSet:

@@ -21,6 +21,7 @@ int-string limit (``sys.get_int_max_str_digits()``) is refused.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Iterable, Tuple, Union
 
@@ -295,6 +296,20 @@ def _pow_finite(a: Ordinal, n: int) -> Ordinal:
     return result
 
 
+def _nat_pow(n: int, k: int) -> int:
+    """``n ** k`` for a natural n >= 2, refused before it is computed when it
+    would have more digits than the int-string limit, so it could not print.
+    The float estimate of its log10 decides unless it lies within one of the
+    limit, where ``n ** k`` is small enough to compare exactly; past
+    k = 4 * limit, n ** k >= 16 ** limit is too long whatever n is."""
+    limit = _int_max_str_digits()
+    if limit:
+        estimate = min(k, 4 * limit) * math.log10(n)
+        if estimate >= limit + 1 or estimate > limit - 1 and n**k >= 10**limit:
+            raise _too_long()
+    return n**k
+
+
 def _shift_down(exponent: Ordinal) -> Ordinal:
     """The unique f with 1 + f = exponent, for exponent >= 1."""
     if exponent.is_finite():
@@ -316,13 +331,15 @@ def ord_pow(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     if a == ONE:
         return ONE
     limit, finite = b.limit_part(), b.natural_part()
-    if limit.is_zero():
-        return _pow_finite(a, finite)
     if a.is_finite():
+        power = Ordinal(_nat_pow(int(a), finite))
+        if limit.is_zero():
+            return power
         # n^(w*q) = w^q: shift each exponent of the limit part down by one.
         shifted = tuple((_shift_down(e), c) for e, c in limit.terms)
-        head = omega_power(Ordinal._make(shifted))
-        return ord_mul(head, Ordinal(int(a) ** finite))
+        return ord_mul(omega_power(Ordinal._make(shifted)), power)
+    if limit.is_zero():
+        return _pow_finite(a, finite)
     head = omega_power(ord_mul(a.leading_exponent(), limit))
     return ord_mul(head, _pow_finite(a, finite))
 

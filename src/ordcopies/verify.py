@@ -91,12 +91,17 @@ class Check:
     detail: str = ""
 
 
+# Suite name -> its checks, in the order this module defines them.
+SUITES: Dict[str, List[Callable[[], Check]]] = {}
+
+
 def _law(name: str, count: int):
     """Make ``body(rng, index)``, which returns None or what went wrong, the
     check ``name`` over the first ``count`` samples of the rng stream seeded
     by that name.  A failure names its sample as ``[name:index]``; calling
     the check with ``samples=index + 1`` replays it.  A law of one sample is
-    a fixed check: it draws no stream, and its body gets None for the rng."""
+    a fixed check: it draws no stream, and its body gets None for the rng.
+    A law defined in this module joins the suite that prefixes its name."""
 
     def wrap(body: Callable[[Optional[random.Random], int], Optional[str]]) -> Callable[..., Check]:
         def check(samples: int = count) -> Check:
@@ -108,6 +113,8 @@ def _law(name: str, count: int):
             return Check(name, True)
 
         check.__name__, check.__doc__ = body.__name__, body.__doc__
+        if body.__module__ == __name__:
+            SUITES.setdefault(name.partition(".")[0], []).append(check)
         return check
 
     return wrap
@@ -661,46 +668,6 @@ def check_render_roundtrip(rng, _):
 
 
 # -- suites ------------------------------------------------------------------------------
-
-
-SUITES: Dict[str, List[Callable[[], Check]]] = {
-    "ordinals": [
-        check_ordinal_laws,
-        check_noncommutativity,
-        check_power_law,
-        check_cofinal_fold,
-        check_indecomposable_sums,
-    ],
-    "cubesets": [
-        check_block_limit_table,
-        check_oracle_agreement,
-        check_indivisibility,
-        check_monotone_types,
-        check_boolean_laws,
-        check_segment_types,
-        check_select_consistency,
-        check_arithmetic_vs_lex,
-        check_separativity_witness,
-    ],
-    "layered": [
-        check_level_set_laws,
-        check_ideal_consistency,
-        check_ideal_inclusion,
-        check_fusion_claims,
-    ],
-    "posets": [
-        check_sq_product_exhaustive,
-        check_sq_product_random,
-        check_sq_soundness,
-        check_sq_respects_iso,
-    ],
-    "factorizer": [
-        check_factorizer_goldens,
-        check_tail_drop,
-        check_factor_invariants,
-        check_render_roundtrip,
-    ],
-}
 
 
 def run_suites(names: Optional[Sequence[str]] = None) -> Tuple[bool, List[str]]:

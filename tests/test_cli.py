@@ -96,6 +96,28 @@ class TestOrdCommands:
         assert (result.exit_code, result.stdout) == (1, "")
         assert result.stderr == "error: a number of more than 4300 digits is too long to print\n"
 
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="needs the default int-string limit",
+    )
+    @pytest.mark.parametrize("exponent", ["99999999999", "w+99999999999"])
+    def test_a_natural_power_past_the_int_limit_is_refused_before_it_is_computed(self, exponent):
+        start = time.process_time()
+        result = run(["ord", "pow", "9", exponent])
+        elapsed = time.process_time() - start
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "error: a number of more than 4300 digits is too long to print\n"
+        assert elapsed < 0.1
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="needs the default int-string limit",
+    )
+    def test_a_natural_power_at_the_int_limit_prints(self):
+        # 10^4299 has 4300 digits, the most the limit allows.
+        result = run(["ord", "pow", "10", "4299"])
+        assert (result.exit_code, result.stdout) == (0, "1" + "0" * 4299 + "\n")
+
 
 class TestSetCommands:
     def test_type_of_full_dim2(self, tmp_path):

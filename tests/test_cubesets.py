@@ -114,6 +114,27 @@ class TestRepresentation:
         with pytest.raises(DimensionError):
             CubeSet.node([bit(1)], [cs_full(1)])
 
+    def test_node_errors_in_order(self, monkeypatch):
+        # An empty cycle, then a child that is not a cube set, then mixed
+        # dimensions, then the cap: the first that applies is raised.
+        from ordcopies import config
+        from ordcopies.errors import CapError
+
+        full2, full3 = cs_full(2), cs_full(3)
+        caps = []
+        monkeypatch.setattr(config, "dim_cap", lambda: caps.append(2) or 2)
+        cases = [
+            (("x", full3), (), SchemaError, "cycle must be nonempty"),
+            ((full2,), (bit(1), "x"), SchemaError, "cube-set children must be cube sets"),
+            ((full2,), (full3,), DimensionError, "all children must share a dimension"),
+            ((), (full2,), CapError, "dimension 3 exceeds the cap 2"),
+        ]
+        for prefix, cycle, error, message in cases:
+            with pytest.raises(error) as caught:
+                CubeSet.node(prefix, cycle)
+            assert str(caught.value) == message
+        assert caps == [2]
+
 
 class TestMembership:
     def test_full_contains_everything(self):

@@ -43,7 +43,7 @@ from ordcopies import (
     ord_add,
     parse_ordinal,
 )
-from ordcopies.cubesets import _bits
+from ordcopies.cubesets import _bits, _height, _ones
 from ordcopies.layered import _check_prefix_cap, as_natset, s_set_natset, supp_natset
 from ordcopies.verify import (
     check_fusion_claims,
@@ -137,6 +137,12 @@ def in_level(a, m, n):
     return cs_order_type(col) >= omega_power(m + 1)
 
 
+def reference_s_set(a, m):
+    """S^m with the naturals below m taken off by a set difference."""
+    bits = [col if isinstance(col, bool) else _height(col) > m for col in a.prefix]
+    return cs_diff(natset(bits, a.tail), CubeSet._masks(_ones(m), m, 0, 1))
+
+
 def reference_order_type(a):
     """The tower's order type as the Ordinal sum of its column types."""
     total = ZERO
@@ -171,6 +177,24 @@ class TestByHeight:
                 ]
                 checked += 1
         assert checked == 6 * self.SETS
+
+    def test_level_sets_against_a_set_difference(self):
+        rng = random.Random("s-set-by-mask")
+        for _ in range(self.SETS):
+            a = random_layered(rng, cyclic_tails=True)
+            for m in [*range(len(a.prefix) + 4), 9, 17, 40]:
+                assert s_set_natset(a, m) == reference_s_set(a, m)
+
+    def test_level_sets_take_no_set_difference(self, monkeypatch):
+        rng = random.Random("s-set-no-diff")
+        cases = [(random_layered(rng, cyclic_tails=True), m) for m in range(6) for _ in range(100)]
+        expected = [reference_s_set(a, m) for a, m in cases]
+
+        def refuse(*args):
+            raise AssertionError("S^m took a set difference")
+
+        monkeypatch.setattr("ordcopies.layered.cs_diff", refuse)
+        assert [s_set_natset(a, m) for a, m in cases] == expected
 
     def test_order_type_against_the_ordinal_sum(self):
         rng = random.Random("ls-order-type")

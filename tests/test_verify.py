@@ -65,13 +65,82 @@ def test_each_check_draws_the_pinned_samples(monkeypatch):
     assert digests == STREAM_DIGESTS
 
 
+# Each suite and its checks, in the order `ordcopies verify` runs them.
+SUITE_TABLE = [
+    (
+        "ordinals",
+        [
+            "check_ordinal_laws",
+            "check_noncommutativity",
+            "check_power_law",
+            "check_cofinal_fold",
+            "check_indecomposable_sums",
+        ],
+    ),
+    (
+        "cubesets",
+        [
+            "check_block_limit_table",
+            "check_oracle_agreement",
+            "check_indivisibility",
+            "check_monotone_types",
+            "check_boolean_laws",
+            "check_segment_types",
+            "check_select_consistency",
+            "check_arithmetic_vs_lex",
+            "check_separativity_witness",
+        ],
+    ),
+    (
+        "layered",
+        [
+            "check_level_set_laws",
+            "check_ideal_consistency",
+            "check_ideal_inclusion",
+            "check_fusion_claims",
+        ],
+    ),
+    (
+        "posets",
+        [
+            "check_sq_product_exhaustive",
+            "check_sq_product_random",
+            "check_sq_soundness",
+            "check_sq_respects_iso",
+        ],
+    ),
+    (
+        "factorizer",
+        [
+            "check_factorizer_goldens",
+            "check_tail_drop",
+            "check_factor_invariants",
+            "check_render_roundtrip",
+        ],
+    ),
+]
+
+
+def test_each_law_joins_the_suite_that_prefixes_its_name():
+    suites = verify.SUITES.items()
+    assert [(suite, [check.__name__ for check in checks]) for suite, checks in suites] == SUITE_TABLE
+    for suite, checks in verify.SUITES.items():
+        for check in checks:
+            assert check is getattr(verify, check.__name__)
+            assert check(samples=0).name.partition(".")[0] == suite
+
+
 def test_a_failure_names_its_sample_and_replays_alone():
+    before = {suite: list(checks) for suite, checks in verify.SUITES.items()}
+
     @verify._law("planted", 50)
     def check_planted(rng, index):
         x = rng.random()
         if x > 0.9:
             return f"drew {x}"
 
+    # A law defined outside ordcopies.verify joins no suite.
+    assert verify.SUITES == before
     result = check_planted()
     match = re.fullmatch(r"drew \S+ \[planted:(\d+)\]", result.detail)
     assert not result.ok and match, result
