@@ -9,7 +9,7 @@ A dimension-0 cube set is a single bit (the one-point order is in or out).
 A dimension-1 set, a subset of w, is four ints instead: a prefix mask, the
 prefix length, a cycle mask and the cycle length, where bit ``i`` of a mask
 is column ``i`` of its part.  Boolean operations are bitwise, cycles are
-aligned by multiplying with a repunit, and order type, Fubini positivity,
+aligned by repeating masks with shifts, and order type, Fubini positivity,
 membership, selection and rank are bit counts.  Its ``prefix`` and
 ``cycle`` are computed leaf tuples, built on each access and never stored.
 Dimension-1 sets are interned in a bounded table, so a working set that
@@ -157,10 +157,19 @@ def _bits(mask: int, n: int) -> str:
 
 
 def _repeat(mask: int, width: int, total: int) -> int:
-    """The ``width``-bit ``mask`` repeated over ``total`` bits: a product
-    with the repunit (2^(width*k) - 1) / (2^width - 1), then truncated."""
-    k = -(-total // width)
-    return mask * (_ones(width * k) // _ones(width)) & _ones(total)
+    """The ``width``-bit ``mask`` repeated over ``total`` bits, doubling the
+    copies with each shift, then truncated."""
+    while width < total:
+        mask |= mask << width
+        width *= 2
+    return mask & _ones(total)
+
+
+def _rotate(mask: int, n: int, k: int) -> int:
+    """The ``n``-bit cycle ``mask`` read from position k: bit i of the
+    result is bit (i + k) mod n."""
+    k %= n
+    return (mask >> k | mask << (n - k)) & _ones(n)
 
 
 def _mask_canonical(pmask, plen, cmask, clen):
@@ -174,9 +183,7 @@ def _mask_canonical(pmask, plen, cmask, clen):
     shift = -plen % clen
     behind = _repeat(cmask, clen, plen + shift) >> shift
     keep = (pmask ^ behind).bit_length()
-    turn = (plen - keep) % clen
-    cmask = (cmask << turn | cmask >> (clen - turn)) & _ones(clen)
-    return pmask & _ones(keep), keep, cmask, clen
+    return pmask & _ones(keep), keep, _rotate(cmask, clen, keep - plen), clen
 
 
 def _unroll(a: "CubeSet", explicit: int, period: int) -> Tuple[int, int]:

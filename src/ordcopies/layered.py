@@ -1,30 +1,34 @@
 """Layered sets: subsets of the tower L = L_0 + L_1 + ... with L_n = w^(n+1).
 
 A layered set stores a finite ``prefix`` of explicit columns followed by a
-cyclic ``tail`` pattern.  Column n is either a cube set of dimension n+1 or
-one of the two dimension-free uniform values empty/full (plain booleans
-internally).  The tail is a nonempty cyclic tuple of such booleans, so a set
-can be uniformly empty or full beyond its prefix ("empty"/"full") or follow
-a periodic empty/full pattern (needed to close the fusion operation under
-periodic index sets).
+cyclic tail.  Column n is a cube set of dimension n+1 or one of the two
+dimension-free uniform values empty/full (plain booleans internally).  The
+tail is a nonempty cycle of such flags, kept as a mask and its length
+(``.tail`` builds the bool tuple when read); a periodic tail closes fusion
+under periodic index sets.
 
 Layered sets are canonical: construction and every Boolean operation turn
-an empty or full cube column into the matching flag (printed as
-"empty"/"full") and then take the minimal tail and the shortest prefix with
-the stream helpers of :mod:`ordcopies.cubesets`.  Equal sets are therefore
-equal values with equal hashes and the same JSON.
+an empty or full cube column into the matching flag and take the minimal
+tail and the shortest prefix with the bit-stream helpers of
+:mod:`ordcopies.cubesets`, so equal sets have equal hashes and the same
+JSON.  A Boolean operation zips the prefix columns and meets the tails in
+one mask op aligned to the lcm of their lengths.
 
 Level sets S^m (columns whose order type reaches w^(m+1)) and supports are
-exact; S^m is computed by height, the leading exponent of a column's type.
-They are finite or cofinite whenever the tail is uniform and are returned
-as :class:`FinCof`; for properly periodic tails the exact answer is
-returned as a dimension-1 cube set instead.
+exact and read by height, the leading exponent of a column's type.  A set
+fills its *height profile* on first use: a full flag at column n counts
+n + 1, an empty flag -1 and a cube column its height.  S^m is the threshold
+height > m, and the support is the same threshold at m = -1.  Answers are
+FinCof when finite or cofinite (always so for uniform tails), dimension-1
+cube sets otherwise.  ``ls_s_set`` and ``ls_supp`` serve them from one
+bounded table keyed by (profile, tail, m), like a BDD package's computed
+table.  It keeps levels within the prefix cap only: past it an answer holds
+about m bits, and a level of 10^7 would pin megabytes rarely asked twice.
 
 Almost-inclusion is read off the tails.  Every S^m, and the support, agrees
-with the set of the tail's full columns from some column on: the prefix
-has finitely many columns, and a full column n lies in S^m iff n >= m.  So
-``s ⊆* S^m`` (s minus S^m finite) has one answer for every m, and whether
-a - b lies in the ideal depends on the two tails alone.
+with the set of the tail's full columns from some column on (a full column
+n lies in S^m iff n >= m).  So ``s ⊆* S^m`` has one answer for every m, and
+whether a - b lies in the ideal depends on the two tails alone.
 
 JSON schema: ``{"prefix": [column...], "tail": "empty"|"full"}`` where a
 column is a cube-set object of dimension n+1 or the strings "empty"/"full";
@@ -37,32 +41,26 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Union
 
 from . import config
-from .errors import (
-    CapError,
-    DimensionError,
-    FusionPreconditionError,
-    IdealError,
-    RangeError,
-    SchemaError,
-)
+from .errors import CapError, DimensionError, FusionPreconditionError, IdealError
+from .errors import RangeError, SchemaError
 from .cubesets import (
     CubeSet,
     _add_terms,
     _and_not,
     _bits,
-    _canonical,
-    _column,
     _height,
     _lift,
     _mask,
+    _mask_canonical,
     _ones,
     _ordinal,
+    _repeat,
+    _rotate,
     _type_terms,
-    _unroll,
-    _zip,
     cs_complement,
     cs_diff,
     cs_fubini_positive,
@@ -88,12 +86,9 @@ def _natural(n) -> int:
 
 @dataclass(frozen=True)
 class FinCof:
-    """A finite or cofinite subset of the naturals.
-
-    ``exceptions`` lists the members for the finite kind and the missing
-    elements for the cofinite kind, matching the wire format.  Set algebra
-    runs on :meth:`to_natset`, a dimension-1 cube set.
-    """
+    """A finite or cofinite subset of the naturals.  ``exceptions`` lists
+    the members (finite) or the missing elements (cofinite), as on the wire;
+    set algebra runs on :meth:`to_natset`, a dimension-1 cube set."""
 
     kind: str
     exceptions: frozenset
@@ -183,40 +178,37 @@ def _check_prefix_cap(length: int) -> None:
 def _as_flag(value) -> Optional[bool]:
     if isinstance(value, bool):
         return value
-    if value == "empty":
-        return False
-    if value == "full":
-        return True
-    return None
+    return {"empty": False, "full": True}.get(value) if isinstance(value, str) else None
 
 
 class LayeredSet:
-    """A subset of the layer tower; immutable and canonical."""
+    """A subset of the layer tower; immutable and canonical.  ``_heights``
+    holds the height profile once it is read."""
 
-    __slots__ = ("prefix", "tail")
+    __slots__ = ("prefix", "_tail", "_tlen", "_heights")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use LayeredSet.make")
 
     @classmethod
-    def _raw(cls, prefix, tail) -> "LayeredSet":
-        # Trusted constructor: the stream must already be canonical.  It is
-        # where every layered value, input or result, meets the prefix cap.
-        _check_prefix_cap(len(prefix))
+    def _canonical(cls, cols: Sequence[Column], tmask: int, tlen: int) -> "LayeredSet":
+        """The set with these columns and tail: only the flags after the last
+        cube column can join the tail.  Every layered value meets the cap here."""
+        k = len(cols)
+        while k and isinstance(cols[k - 1], bool):
+            k -= 1
+        _, keep, tmask, tlen = _mask_canonical(_mask(cols[k:]), len(cols) - k, tmask, tlen)
+        _check_prefix_cap(k + keep)
         self = object.__new__(cls)
-        self.prefix = prefix
-        self.tail = tail
+        self.prefix = tuple(cols[: k + keep])
+        self._tail, self._tlen, self._heights = tmask, tlen, None
         return self
 
     @classmethod
     def make(cls, prefix: Sequence = (), tail="empty") -> "LayeredSet":
-        flag = _as_flag(tail)
-        if flag is not None:
-            tail = (flag,)
-        else:
-            tail = tuple(_as_flag(t) for t in tail)
-            if not tail or any(t is None for t in tail):
-                raise SchemaError("tail must be empty/full or a pattern of them")
+        tail = [_as_flag(t) for t in ([tail] if _as_flag(tail) is not None else tail)]
+        if not tail or None in tail:
+            raise SchemaError("tail must be empty/full or a pattern of them")
         cols: List[Column] = []
         for n, col in enumerate(prefix):
             if isinstance(col, CubeSet):
@@ -228,7 +220,7 @@ class LayeredSet:
                 if col is None:
                     raise SchemaError(f"column {n} is not a cube set or empty/full")
             cols.append(col)
-        return cls._raw(*_canonical(cols, tail))
+        return cls._canonical(cols, _mask(tail), len(tail))
 
     @classmethod
     def empty(cls) -> "LayeredSet":
@@ -238,19 +230,35 @@ class LayeredSet:
     def full(cls) -> "LayeredSet":
         return cls.make((), "full")
 
+    @property
+    def tail(self) -> tuple:
+        return tuple(d == "1" for d in _bits(self._tail, self._tlen))
+
     def column(self, n: int) -> Column:
-        return _column(self.prefix, self.tail, n)
+        if n < len(self.prefix):
+            return self.prefix[n]
+        return bool(self._tail >> (n - len(self.prefix)) % self._tlen & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayeredSet):
             return NotImplemented
-        return self.prefix == other.prefix and self.tail == other.tail
+        return (self._tail, self._tlen, self.prefix) == (other._tail, other._tlen, other.prefix)
 
     def __hash__(self) -> int:
-        return hash((self.prefix, self.tail))
+        return hash((self.prefix, self._tail, self._tlen))
 
     def __repr__(self) -> str:
         return f"<LayeredSet prefix={len(self.prefix)} tail={self.tail}>"
+
+
+def _profile(a: LayeredSet) -> tuple:
+    """``(height profile, tail mask, tail length)``, what every level reads."""
+    if a._heights is None:
+        a._heights = tuple(
+            _height(col) if isinstance(col, CubeSet) else n + 1 if col else -1
+            for n, col in enumerate(a.prefix)
+        )
+    return a._heights, a._tail, a._tlen
 
 
 # -- column algebra (never materializes a flag as a cube set) ------------------
@@ -258,11 +266,7 @@ class LayeredSet:
 
 def _as_column(col: CubeSet) -> Column:
     """The empty and full cube sets become the flags False and True."""
-    if cs_is_empty(col):
-        return False
-    if cs_is_full(col):
-        return True
-    return col
+    return False if cs_is_empty(col) else True if cs_is_full(col) else col
 
 
 def _against_flag(if_out: bool, if_in: bool, col: CubeSet) -> Column:
@@ -272,10 +276,10 @@ def _against_flag(if_out: bool, if_in: bool, col: CubeSet) -> Column:
     return col if if_in else cs_complement(col)
 
 
-def _combine(a: LayeredSet, b: LayeredSet, bit_op) -> LayeredSet:
-    """``bit_op`` applied point by point.  A flag column is a constant set,
-    so against it the result is a constant, the other column or its
-    complement."""
+def _combine(a: LayeredSet, prefix: tuple, tmask: int, tlen: int, bit_op) -> LayeredSet:
+    """``bit_op`` applied point by point to ``a`` and the stream (prefix,
+    tail mask, tail length).  A flag column is a constant set, so against
+    it the result is a constant, the other column or its complement."""
     cube_op = _lift(bit_op)
 
     def col_op(x: Column, y: Column) -> Column:
@@ -287,98 +291,113 @@ def _combine(a: LayeredSet, b: LayeredSet, bit_op) -> LayeredSet:
             return _against_flag(bit_op(False, y), bit_op(True, y), x)
         return _as_column(cube_op(x, y))
 
-    return LayeredSet._raw(*_canonical(*_zip(a.prefix, a.tail, b.prefix, b.tail, col_op)))
+    explicit = max(len(a.prefix), len(prefix))
+    period = math.lcm(a._tlen, tlen)
+    cols, tails = [], []
+    for p, mask, n in ((a.prefix, a._tail, a._tlen), (prefix, tmask, tlen)):
+        cols.append(p + tuple(bool(mask >> i % n & 1) for i in range(explicit - len(p))))
+        tails.append(_repeat(_rotate(mask, n, explicit - len(p)), n, period))
+    return LayeredSet._canonical(tuple(map(col_op, *cols)), bit_op(*tails), period)
 
 
 def ls_union(a: LayeredSet, b: LayeredSet) -> LayeredSet:
-    return _combine(a, b, operator.or_)
+    return _combine(a, b.prefix, b._tail, b._tlen, operator.or_)
 
 
 def ls_inter(a: LayeredSet, b: LayeredSet) -> LayeredSet:
-    return _combine(a, b, operator.and_)
+    return _combine(a, b.prefix, b._tail, b._tlen, operator.and_)
 
 
 def ls_diff(a: LayeredSet, b: LayeredSet) -> LayeredSet:
-    return _combine(a, b, _and_not)
+    return _combine(a, b.prefix, b._tail, b._tlen, _and_not)
 
 
 # -- level sets, support, ideal membership -------------------------------------
 
 
+def _level(heights: tuple, tmask: int, tlen: int, m: int) -> CubeSet:
+    """The columns of height > m as a dimension-1 cube set, for m >= -1.
+    A prefix column n has height at most n + 1, and a tail column passes
+    iff it is full and n >= m: past the prefix, S^m is m empty columns and
+    then the tail read from its position m - len(heights)."""
+    explicit = max(len(heights), m)
+    pmask = _mask([h > m for h in heights])
+    return CubeSet._masks(pmask, explicit, _rotate(tmask, tlen, explicit - len(heights)), tlen)
+
+
+@lru_cache(maxsize=4096)
+def _level_table(heights: tuple, tmask: int, tlen: int, m: int) -> Union[FinCof, CubeSet]:
+    """The level as FinCof when possible; past the cap, run ``__wrapped__``."""
+    s = _level(heights, tmask, tlen, m)
+    fincof = natset_to_fincof(s)
+    return s if fincof is None else fincof
+
+
 def s_set_natset(a: LayeredSet, m: int) -> CubeSet:
-    """Exact S^m as a dimension-1 cube set: columns of type >= w^(m+1),
-    so of height > m.  A full column n is w^(n+1), so full flags and the
-    tail lose the naturals below m: the stream is unrolled past column m
-    and its low m bits cleared."""
+    """Exact S^m, the columns of type >= w^(m+1), as a dimension-1 cube set."""
     if m < 0:
         raise RangeError("the level must be a natural number")
-    s = natset([col if isinstance(col, bool) else _height(col) > m for col in a.prefix], a.tail)
-    explicit = max(s._plen, m)
-    pmask, cmask = _unroll(s, explicit, s._clen)
-    return CubeSet._masks(pmask >> m << m, explicit, cmask, s._clen)
+    return _level(*_profile(a), m)
 
 
 def supp_natset(a: LayeredSet) -> CubeSet:
-    """Exact support as a dimension-1 cube set; canonical cube columns are nonempty."""
-    return natset([col is not False for col in a.prefix], a.tail)
+    """Exact support as a dimension-1 cube set (cube columns are nonempty)."""
+    return _level(*_profile(a), -1)
 
 
 def ls_s_set(a: LayeredSet, m: int) -> Union[FinCof, CubeSet]:
     """S^m, as a FinCof when finite or cofinite (always so for uniform
     tails), otherwise as the exact dimension-1 cube set."""
-    s = s_set_natset(a, m)
-    fincof = natset_to_fincof(s)
-    return s if fincof is None else fincof
+    if m < 0:
+        raise RangeError("the level must be a natural number")
+    lookup = _level_table if m <= config.prefix_cap() else _level_table.__wrapped__
+    return lookup(*_profile(a), m)
 
 
 def ls_supp(a: LayeredSet) -> Union[FinCof, CubeSet]:
     """The set of layer indices the set meets; FinCof when possible."""
-    s = supp_natset(a)
-    fincof = natset_to_fincof(s)
-    return s if fincof is None else fincof
+    return _level_table(*_profile(a), -1)
 
 
 def ls_in_ideal(a: LayeredSet) -> bool:
-    """True iff the set fails to contain a copy of the whole tower.
+    """True iff the set fails to contain a copy of the whole tower, iff some
+    S^m is empty: a full tail column recurs cofinally, putting a full layer
+    w^(n+1) in every S^m, and an empty tail leaves finitely many layers."""
+    return a._tail == 0
 
-    That is iff some S^m is empty, and the tail decides it: a full tail
-    column recurs cofinally, putting a full layer w^(n+1) in every S^m,
-    while an all-empty tail leaves the set inside finitely many layers.
-    """
-    return not any(a.tail)
+
+def _residues(a: LayeredSet, tmask: int, g: int) -> int:
+    """The residues mod g (g divides the tail length) of the columns where
+    the tail positions in ``tmask`` recur: the mask folded onto g bits."""
+    n = a._tlen
+    while n > g:
+        half = -(-n // (2 * g)) * g
+        tmask, n = tmask & _ones(half) | tmask >> half, half
+    return _rotate(tmask, g, -len(a.prefix))
 
 
 def ls_subset_ideal(a: LayeredSet, b: LayeredSet) -> bool:
-    """Inclusion modulo the ideal: the difference a - b lies in the ideal.
-
-    The tails decide it.  Tail position x of ``a`` recurs at the columns
-    ``len(a.prefix) + x`` mod ``len(a.tail)``, and tail position y of ``b``
-    at ``len(b.prefix) + y`` mod ``len(b.tail)``; by the Chinese remainder
-    theorem the two share infinitely many columns iff those starts agree
-    mod g, the gcd of the tail lengths.  So a - b has a full tail column,
-    and leaves the ideal, iff a full position of ``a.tail`` shares its
-    residue mod g with an empty position of ``b.tail``.
-    """
-    g = math.gcd(len(a.tail), len(b.tail))
-    full = {(len(a.prefix) + x) % g for x, bit in enumerate(a.tail) if bit}
-    return not any((len(b.prefix) + y) % g in full for y, bit in enumerate(b.tail) if not bit)
+    """Inclusion modulo the ideal: a - b lies in the ideal.  By the Chinese
+    remainder theorem, tail positions of ``a`` and ``b`` share infinitely
+    many columns iff their columns agree mod g, the gcd of the tail lengths;
+    so a - b leaves the ideal iff a full position of ``a``'s tail shares its
+    residue mod g with an empty position of ``b``'s."""
+    g = math.gcd(a._tlen, b._tlen)
+    return not _residues(a, a._tail, g) & _residues(b, b._tail ^ _ones(b._tlen), g)
 
 
 def ls_order_type(a: LayeredSet) -> Ordinal:
     """Order type of the set: the column types summed along the tower.
 
-    Any full tail column pattern contributes cofinally many columns of
-    unbounded type, so the total collapses to w^w (x + w^w = w^w for x <
-    w^w); otherwise the prefix sum remains, summed on int CNF terms.
+    A full tail column recurs cofinally with unbounded type, so the total
+    collapses to w^w; otherwise the prefix sum remains, on int CNF terms.
     """
-    if any(a.tail):
+    if a._tail:
         return OMEGA_OMEGA
     total = []
     for n, col in enumerate(a.prefix):
-        if col is True:
-            _add_terms(total, [(n + 1, 1)])
-        elif col is not False:
-            _add_terms(total, _type_terms(col))
+        if col is not False:
+            _add_terms(total, [(n + 1, 1)] if col is True else _type_terms(col))
     return _ordinal(total)
 
 
@@ -387,12 +406,8 @@ def ls_order_type(a: LayeredSet) -> Ordinal:
 
 def ls_is_reduction(s: Union[FinCof, CubeSet], a: LayeredSet, m_max: int) -> bool:
     """Truncated reduction test: s is almost contained in S^m for m <= m_max.
-
-    Each S^m differs from the support only in finitely many columns (the
-    tail's full columns from some column on make up both), so one test
-    against the support answers for every level, and the truncated test is
-    exact for represented sets.
-    """
+    Each S^m differs from the support in finitely many columns, so one test
+    against the support answers for every level, exactly."""
     if ls_in_ideal(a):
         raise IdealError("reduction is only defined against a positive set")
     index = as_natset(s)
@@ -406,7 +421,7 @@ def ls_fusion(a_list: Sequence[LayeredSet], s: Union[FinCof, CubeSet]) -> Layere
     lie in every S^m of every input for m, n <= r; as S^0 ⊇ S^1 ⊇ ... ⊇ S^r,
     that is every S^r.  Preconditions: every input is positive, s is
     infinite, and s is almost contained in every such S^m; violations name
-    the failing (m, n).
+    the failing (m, n).  The surviving set stays a mask.
     """
     if not a_list:
         raise RangeError("fusion needs at least one layered set")
@@ -428,28 +443,18 @@ def ls_fusion(a_list: Sequence[LayeredSet], s: Union[FinCof, CubeSet]) -> Layere
             )
         surviving = cs_inter(surviving, s_r)
     _check_prefix_cap(surviving._plen)
-    as_flags = LayeredSet._raw(
-        tuple(d == "1" for d in _bits(surviving._prefix, surviving._plen)),
-        tuple(d == "1" for d in _bits(surviving._cycle, surviving._clen)),
-    )
-    return ls_inter(a_list[r], as_flags)
+    flags = tuple(d == "1" for d in _bits(surviving._prefix, surviving._plen))
+    return _combine(a_list[r], flags, surviving._cycle, surviving._clen, operator.and_)
 
 
 # -- JSON -----------------------------------------------------------------------
 
 
 def layered_to_json(a: LayeredSet):
-    prefix = []
-    for col in a.prefix:
-        if isinstance(col, bool):
-            prefix.append("full" if col else "empty")
-        else:
-            prefix.append(cube_to_json(col))
-    if len(a.tail) == 1:
-        tail = "full" if a.tail[0] else "empty"
-    else:
-        tail = ["full" if t else "empty" for t in a.tail]
-    return {"prefix": prefix, "tail": tail}
+    text = ("empty", "full")
+    prefix = [text[col] if isinstance(col, bool) else cube_to_json(col) for col in a.prefix]
+    tail = [text[flag] for flag in a.tail]
+    return {"prefix": prefix, "tail": tail if len(tail) > 1 else tail[0]}
 
 
 def layered_from_json(obj) -> LayeredSet:
@@ -457,12 +462,7 @@ def layered_from_json(obj) -> LayeredSet:
         raise SchemaError("expected {prefix, tail}")
     if not isinstance(obj["prefix"], list):
         raise SchemaError("prefix must be an array")
-    prefix = []
-    for col in obj["prefix"]:
-        if col in ("empty", "full"):
-            prefix.append(col)
-        else:
-            prefix.append(cube_from_json(col))
+    prefix = [col if col in ("empty", "full") else cube_from_json(col) for col in obj["prefix"]]
     tail = obj["tail"]
     pattern = tail if isinstance(tail, list) and tail else [tail]
     if not all(t in ("empty", "full") for t in pattern):

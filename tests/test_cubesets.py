@@ -46,7 +46,7 @@ from ordcopies import (
     parse_ordinal,
     point_to_ord,
 )
-from ordcopies.cubesets import _canonical, _minus, _whole_blocks
+from ordcopies.cubesets import _canonical, _minus, _ones, _repeat, _rotate, _whole_blocks
 from ordcopies.layered import s_set_natset
 from ordcopies.verify import (
     check_arithmetic_vs_lex,
@@ -537,6 +537,25 @@ class TestMasks:
         assert len(union.cycle) == 210
         assert cs_order_type(cs_complement(union)) == omega_power(2)
         assert built == []
+
+    def test_repeat_and_rotate_against_bit_lists(self):
+        rng = random.Random("repeat-rotate")
+        for _ in range(3000):
+            width = rng.randint(1, 40)
+            bits = [rng.random() < 0.5 for _ in range(width)]
+            mask = sum(1 << i for i, b in enumerate(bits) if b)
+            total, k = rng.randint(0, 300), rng.randint(-100, 100)
+            repeated = _repeat(mask, width, total)
+            assert [bool(repeated >> i & 1) for i in range(total + 8)] == [
+                i < total and bits[i % width] for i in range(total + 8)
+            ]
+            # The repunit product it replaced.
+            units = -(-total // width)
+            assert repeated == mask * (_ones(width * units) // _ones(width)) & _ones(total)
+            turned = _rotate(mask, width, k)
+            assert [bool(turned >> i & 1) for i in range(width)] == [
+                bits[(i + k) % width] for i in range(width)
+            ]
 
     def test_long_prefix_is_absorbed_in_linear_time(self):
         n = 10**6

@@ -1,5 +1,8 @@
+import math
+import operator
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from ordcopies import (
     cs_is_empty,
     cs_member,
     cs_order_type,
+    cube_to_json,
     layered_from_json,
     layered_to_json,
     ls_diff,
@@ -43,8 +47,25 @@ from ordcopies import (
     ord_add,
     parse_ordinal,
 )
-from ordcopies.cubesets import _bits, _height, _ones
-from ordcopies.layered import _check_prefix_cap, as_natset, s_set_natset, supp_natset
+from ordcopies.cubesets import (
+    _and_not,
+    _bits,
+    _canonical,
+    _height,
+    _lift,
+    _ones,
+    _unroll,
+    _zip,
+    cs_complement,
+    cs_is_full,
+)
+from ordcopies.layered import (
+    _check_prefix_cap,
+    _level_table,
+    as_natset,
+    s_set_natset,
+    supp_natset,
+)
 from ordcopies.verify import (
     check_fusion_claims,
     check_ideal_consistency,
@@ -141,6 +162,154 @@ def reference_s_set(a, m):
     """S^m with the naturals below m taken off by a set difference."""
     bits = [col if isinstance(col, bool) else _height(col) > m for col in a.prefix]
     return cs_diff(natset(bits, a.tail), CubeSet._masks(_ones(m), m, 0, 1))
+
+
+# The bool-tuple routes the layered sets ran on before their tails became
+# masks, kept as references: they read ``.prefix`` and ``.tail`` only.
+
+
+def parent_s_set_natset(a, m):
+    bits = [col if isinstance(col, bool) else _height(col) > m for col in a.prefix]
+    s = natset(bits, a.tail)
+    explicit = max(s._plen, m)
+    pmask, cmask = _unroll(s, explicit, s._clen)
+    return CubeSet._masks(pmask >> m << m, explicit, cmask, s._clen)
+
+
+def parent_supp_natset(a):
+    return natset([col is not False for col in a.prefix], a.tail)
+
+
+def parent_combine(prefix_a, tail_a, prefix_b, tail_b, bit_op):
+    """``bit_op`` column by column over the lcm of the tails, as canonical
+    (prefix, tail) tuples."""
+    cube_op = _lift(bit_op)
+
+    def flag_or_column(col):
+        return False if cs_is_empty(col) else True if cs_is_full(col) else col
+
+    def against_flag(if_out, if_in, col):
+        return if_in if if_in == if_out else col if if_in else cs_complement(col)
+
+    def col_op(x, y):
+        if isinstance(x, bool):
+            if isinstance(y, bool):
+                return bit_op(x, y)
+            return against_flag(bit_op(x, False), bit_op(x, True), y)
+        if isinstance(y, bool):
+            return against_flag(bit_op(False, y), bit_op(True, y), x)
+        return flag_or_column(cube_op(x, y))
+
+    return _canonical(*_zip(prefix_a, tail_a, prefix_b, tail_b, col_op))
+
+
+def parent_subset_ideal(a, b):
+    g = math.gcd(len(a.tail), len(b.tail))
+    full = {(len(a.prefix) + x) % g for x, bit in enumerate(a.tail) if bit}
+    return not any((len(b.prefix) + y) % g in full for y, bit in enumerate(b.tail) if not bit)
+
+
+def as_index(s):
+    fincof = natset_to_fincof(s)
+    return s if fincof is None else fincof
+
+
+def reference_json(prefix, tail):
+    text = lambda flag: "full" if flag else "empty"
+    return {
+        "prefix": [text(col) if isinstance(col, bool) else cube_to_json(col) for col in prefix],
+        "tail": text(tail[0]) if len(tail) == 1 else [text(flag) for flag in tail],
+    }
+
+
+LEVELS = [*range(12), 17, 40]
+
+
+class TestAgainstTheParentRoutes:
+    """Tails as masks, levels by height profile and the level table give
+    what the bool-tuple routes gave, on 2,048 seeded sets."""
+
+    SETS = 2048
+
+    def sets(self, name):
+        rng = random.Random(name)
+        return [random_layered(rng, cyclic_tails=True) for _ in range(self.SETS)]
+
+    def test_levels_and_support(self):
+        samples = self.sets("mask-levels")
+        assert any(len(a.tail) > 1 for a in samples)
+        for a in samples:
+            for m in LEVELS:
+                expected = parent_s_set_natset(a, m)
+                assert s_set_natset(a, m) == expected
+                assert ls_s_set(a, m) == as_index(expected)
+            assert supp_natset(a) == parent_supp_natset(a)
+            assert ls_supp(a) == as_index(parent_supp_natset(a))
+
+    def test_boolean_operations(self):
+        samples = self.sets("mask-combine")
+        ops = ((ls_union, operator.or_), (ls_inter, operator.and_), (ls_diff, _and_not))
+        for a, b in zip(samples[::2], samples[1::2]):
+            for ls_op, bit_op in ops:
+                prefix, tail = parent_combine(a.prefix, a.tail, b.prefix, b.tail, bit_op)
+                result = ls_op(a, b)
+                assert (result.prefix, result.tail) == (prefix, tail)
+                rebuilt = LayeredSet.make(prefix, tail)
+                assert result == rebuilt and hash(result) == hash(rebuilt)
+                assert layered_to_json(result) == reference_json(prefix, tail)
+
+    def test_subset_ideal(self):
+        samples = self.sets("mask-subset")
+        pairs = list(zip(samples[::2], samples[1::2])) + [(a, a) for a in samples[:64]]
+        answers = [ls_subset_ideal(a, b) for a, b in pairs]
+        assert answers == [parent_subset_ideal(a, b) for a, b in pairs]
+        assert set(answers) == {False, True}
+
+    def test_long_tails_fold_to_the_same_residues(self):
+        rng = random.Random("mask-subset-long")
+        for _ in range(200):
+            a, b = (
+                LayeredSet.make(
+                    ["full"] * rng.randint(0, 3),
+                    [rng.random() < 0.97 for _ in range(rng.choice((6, 35, 60, 97, 210)))],
+                )
+                for _ in range(2)
+            )
+            assert ls_subset_ideal(a, b) == parent_subset_ideal(a, b)
+
+
+class TestLevelTable:
+    """The level table keeps levels within the prefix cap only, and its
+    state never changes an answer."""
+
+    def test_maxsize_is_pinned(self):
+        assert _level_table.cache_info().maxsize == 4096
+
+    def test_a_level_past_the_cap_is_not_kept(self):
+        m = 10**6
+        before = _level_table.cache_info().currsize
+        assert ls_s_set(FULL, m) == as_index(parent_s_set_natset(FULL, m))
+        assert ls_s_set(EVEN_COLUMNS, m) == parent_s_set_natset(EVEN_COLUMNS, m)
+        assert _level_table.cache_info().currsize == before
+
+    def test_answers_do_not_depend_on_the_table(self):
+        rng = random.Random("level-table")
+        samples = [random_layered(rng, cyclic_tails=True) for _ in range(512)]
+
+        def answers():
+            return [(ls_supp(a), *(ls_s_set(a, m) for m in LEVELS)) for a in samples]
+
+        _level_table.cache_clear()
+        cold = answers()
+        assert answers() == cold
+        for k in range(_level_table.cache_info().maxsize):
+            _level_table((), k, 64, 0)
+        assert _level_table.cache_info().currsize == _level_table.cache_info().maxsize
+        assert answers() == cold
+        assert cold == [
+            (as_index(parent_supp_natset(a)), *(as_index(parent_s_set_natset(a, m)) for m in LEVELS))
+            for a in samples
+        ]
 
 
 def reference_order_type(a):
@@ -444,11 +613,12 @@ def reference_fusion(a_list, s):
                 )
             surviving = cs_inter(surviving, s_m)
     _check_prefix_cap(surviving._plen)
-    as_flags = LayeredSet._raw(
+    flags = (
         tuple(d == "1" for d in _bits(surviving._prefix, surviving._plen)),
         tuple(d == "1" for d in _bits(surviving._cycle, surviving._clen)),
     )
-    return ls_inter(a_list[r], as_flags)
+    last = a_list[r]
+    return LayeredSet.make(*parent_combine(last.prefix, last.tail, *flags, operator.and_))
 
 
 def outcome(f, *args):
@@ -516,7 +686,8 @@ class TestAlmostInclusionOffTheTails:
             raise AssertionError("inclusion modulo the ideal aligned the two sets")
 
         monkeypatch.setattr("ordcopies.layered.ls_diff", refuse)
-        monkeypatch.setattr("ordcopies.layered._zip", refuse)
+        monkeypatch.setattr("ordcopies.layered._combine", refuse)
+        monkeypatch.setattr("ordcopies.layered._repeat", refuse)
         monkeypatch.setattr("ordcopies.cubesets._zip", refuse)
         assert [ls_subset_ideal(a, b) for a, b in pairs] == expected
 
@@ -545,6 +716,30 @@ class TestAlmostInclusionOffTheTails:
         elapsed = time.process_time() - start
         assert answers == (False, False, True)
         assert elapsed < 0.1
+
+
+class TestFusionAlignment:
+    """Fusion meets the last input's tail with the surviving cycle in one
+    mask op: an 8,002-column tail against an index of period 8,006 aligns
+    over about 32 million columns."""
+
+    def test_long_coprime_periods_fuse_within_bounds(self):
+        tail = [n % 2 == 0 or n == 1 for n in range(8002)]
+        cycle = [n % 2 == 0 and n != 0 for n in range(8006)]
+        a = LayeredSet.make((), tail)
+        index = natset((), cycle)
+        tracemalloc.start()
+        start = time.process_time()
+        try:
+            result = ls_fusion([a], index)
+            elapsed = time.process_time() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The index keeps only even columns, where the tail is full.
+        assert result.prefix == () and result.tail == tuple(cycle)
+        assert elapsed < 1.5
+        assert peak < 100 * 2**20
 
 
 class TestOrderType:
